@@ -1,15 +1,17 @@
 """CI kernel smoke: the table-driven kernels must engage, win, and agree.
 
 Replays the throughput-benchmark workload three ways per machine —
-table-driven kernel (:mod:`repro.kernels`), legacy packed loop (kernel
-pinned off via :func:`registry.disabled`), and the generic per-access
-object engine — and asserts the two contracts the kernels ship under:
+table-driven kernel (:mod:`repro.kernels`), the reference path (kernel
+pinned off via :func:`registry.disabled`, every access through
+``_access_block``), and the per-access object engine over a plain
+``Access`` list — and asserts the two contracts the kernels ship under:
 
-* **perf**: the kernel replay is no slower than the legacy packed loop
-  it shadows (it is ~20-40x faster in practice; asserting ``<=`` keeps
-  the check immune to CI noise while still catching an engagement
-  regression, because a silently falling-back kernel run *is* a packed
-  run plus gate overhead).
+* **perf**: the kernel replay beats the reference path by at least
+  :data:`MIN_SPEEDUP`, the margin by which the hit-retiring packed loop
+  the kernels replaced beat the reference path on this trace.  The
+  gate is therefore as strict as the old "no slower than the packed
+  loop", and a silently falling-back kernel run — a reference run plus
+  gate overhead — fails it.
 * **determinism**: every statistic the kernel run produces — message
   and bus counters with their per-cause/per-kind breakdowns, cache
   event counters, invalidation-size histograms, classification
@@ -48,6 +50,13 @@ from repro.trace import synth  # noqa: E402
 
 #: In-process repetitions per timing (min is reported).
 REPS = 5
+
+#: Required kernel speedup over the reference path.  On this trace the
+#: hit-retiring packed loop deleted in favour of the kernels beat the
+#: reference path by 1.37-1.42x on the 64K geometry and 1.04-1.07x on
+#: the evicting one (medians of 5 rounds of min-of-5 timings, measured
+#: twice on a 1-vCPU host); the largest, rounded up, applies to all.
+MIN_SPEEDUP = 1.5
 
 CFG = MachineConfig(num_procs=16,
                     cache=CacheConfig(size_bytes=64 * 1024, block_size=16))
@@ -88,8 +97,8 @@ def _best(make, trace) -> float:
 
 def _check_machine(name, make, trace, stats_of, *, label=None,
                    require_evictions=False) -> list[str]:
-    """Time kernel vs packed and diff kernel stats against the object
-    engine; returns failure descriptions (empty = clean)."""
+    """Time kernel vs the reference path and diff kernel stats against
+    the object engine; returns failure descriptions (empty = clean)."""
     problems = []
     label = label or name
 
@@ -108,15 +117,16 @@ def _check_machine(name, make, trace, stats_of, *, label=None,
     kernel_seconds = _best(make, trace)
 
     with registry.disabled():
-        packed_seconds = _best(make, trace)
+        reference_seconds = _best(make, trace)
 
+    speedup = reference_seconds / kernel_seconds
     print(f"{label}: kernel {kernel_seconds * 1e3:.3f}ms  "
-          f"packed {packed_seconds * 1e3:.3f}ms  "
-          f"({packed_seconds / kernel_seconds:.1f}x)")
-    if kernel_seconds > packed_seconds:
+          f"reference {reference_seconds * 1e3:.3f}ms  ({speedup:.1f}x)")
+    if speedup < MIN_SPEEDUP:
         problems.append(
-            f"{label}: kernel replay ({kernel_seconds * 1e3:.3f}ms) slower "
-            f"than the legacy packed loop ({packed_seconds * 1e3:.3f}ms)")
+            f"{label}: kernel replay ({kernel_seconds * 1e3:.3f}ms) is only "
+            f"{speedup:.2f}x faster than the reference path "
+            f"({reference_seconds * 1e3:.3f}ms); required {MIN_SPEEDUP}x")
 
     generic_machine = make()
     generic_machine.run(list(trace))  # a plain list has no pack()

@@ -3,9 +3,9 @@
 Measures the same trace-replay benchmark as ``record_throughput.py`` in
 three modes per machine and writes ``BENCH_observability.json``:
 
-* ``off_packed`` — no hook installed, packed fast path.  Telemetry is
-  zero-overhead when off, so this must stay within noise of the packed
-  numbers in ``BENCH_throughput.json``.
+* ``off_packed`` — no hook installed, packed trace (the kernel fast
+  path).  Telemetry is zero-overhead when off, so this must stay within
+  noise of the kernel numbers in ``BENCH_throughput.json``.
 * ``off_generic`` — no hook, generic per-``Access`` path (the baseline
   a recorder-carrying run should be compared against, since installing
   a hook forces this path).
@@ -46,7 +46,7 @@ TRACE = synth.interleave(
     chunk=8, seed=3)
 
 if mode == "off_generic":
-    trace = list(TRACE)  # a plain list never takes the packed path
+    trace = list(TRACE)  # a plain list never takes the kernel path
 else:
     trace = TRACE
     TRACE.pack().blocks_column(4)  # resolve columns outside timing

@@ -2,9 +2,11 @@
 
 Measures the directory- and bus-machine trace-replay benchmark (the same
 workload as ``test_simulator_throughput.py``) on the current tree —
-table-driven kernel, packed fast path (kernels disabled via
-``REPRO_NO_KERNEL``), and generic per-``Access`` path — and writes the
-results to ``BENCH_throughput.json``.
+table-driven kernel, the reference path over packed columns (kernels
+disabled via ``REPRO_NO_KERNEL``; recorded under the historical
+``packed`` label, which measured the hit-retiring packed loop before
+the kernels replaced it), and generic per-``Access`` path — and writes
+the results to ``BENCH_throughput.json``.
 
 Two extra sections cover the widened kernel envelope:
 
@@ -77,8 +79,9 @@ else:
         if split is not None:
             split(4)
     if representation == "packed":
-        # Pin the legacy packed loop so the row measures it, not the
-        # table-driven kernel (older trees ignore the variable).
+        # Pin the reference path (the packed loop on trees that still
+        # have one) so the row measures it, not the table-driven kernel
+        # (older trees ignore the variable).
         import os
         os.environ["REPRO_NO_KERNEL"] = "1"
 

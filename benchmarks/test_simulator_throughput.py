@@ -6,11 +6,11 @@ loops) are visible.  Unlike the table benchmarks these use multiple
 rounds, since they are cheap.
 
 ``TRACE`` is a packable :class:`repro.trace.core.Trace`, so the machine
-``run`` loops take the packed columnar fast path; the ``*_unpacked``
-variants feed the same accesses as a plain list, timing the generic
+``run`` calls take the table-driven kernel; the ``*_unpacked`` variants
+feed the same accesses as a plain list, timing the generic
 per-``Access`` path for comparison.  ``benchmarks/record_throughput.py``
-runs the same workload standalone and records the packed-vs-baseline
-speedup in ``BENCH_throughput.json``.
+runs the same workload standalone and records the speedups in
+``BENCH_throughput.json``.
 """
 
 from repro.common.config import CacheConfig, MachineConfig
@@ -68,7 +68,7 @@ def test_directory_machine_unpacked_throughput(benchmark):
         return machine.stats.total
 
     total = benchmark(run)
-    # The packed fast path must not change the statistics.
+    # The kernel path must not change the statistics.
     packed = DirectoryMachine(CFG, AGGRESSIVE)
     packed.run(TRACE)
     assert total == packed.stats.total

@@ -75,19 +75,20 @@ class DropsInvalidationsDirectory(DirectoryMachine):
         self._bump_version(block, line)
 
 
-class SkewsPackedStatsDirectory(DirectoryMachine):
-    """Directory bug: the packed fast path loses half its read hits.
+class SkewsFastStatsDirectory(DirectoryMachine):
+    """Directory bug: the unchecked fast replay loses half its read hits.
 
-    Models a fast-path divergence (the class of bug the packed-vs-generic
-    differential stage exists for): the columnar replay produces correct
-    protocol behaviour but drifts on a statistic.
+    Models a fast-path divergence (the class of bug the kernel-diff
+    stage exists for): the replay the checker does not audit produces
+    correct protocol behaviour but drifts on a statistic.
     """
 
-    def _run_packed(self, packed):
+    def run(self, trace):
         before = self.cache_stats.read_hits
-        result = super()._run_packed(packed)
-        gained = self.cache_stats.read_hits - before
-        self.cache_stats.read_hits = before + gained // 2
+        result = super().run(trace)
+        if not self._check:
+            gained = self.cache_stats.read_hits - before
+            self.cache_stats.read_hits = before + gained // 2
         return result
 
 
@@ -95,7 +96,7 @@ class SkewsPackedStatsDirectory(DirectoryMachine):
 INJECTIONS = {
     "none": {},
     "drop-invalidation": {"directory_machine": DropsInvalidationsDirectory},
-    "packed-skew": {"directory_machine": SkewsPackedStatsDirectory},
+    "packed-skew": {"directory_machine": SkewsFastStatsDirectory},
     "snoop-drop-invalidation": {"snoop_factories": (ForgetsToInvalidate,)},
     "snoop-stale-fill": {"snoop_factories": (FillsStaleExclusive,)},
 }

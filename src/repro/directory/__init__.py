@@ -12,12 +12,6 @@ from repro.directory.policy import (
     policy_by_name,
 )
 from repro.directory.protocol import DirectoryProtocol
-from repro.directory.tracing import (
-    ClassificationEvent,
-    TracingDirectoryProtocol,
-    explain_block,
-    trace_classification,
-)
 from repro.directory.representation import (
     DirectoryRepresentation,
     FullMapDirectory,
@@ -27,7 +21,6 @@ from repro.directory.representation import (
 __all__ = [
     "AGGRESSIVE",
     "AdaptivePolicy",
-    "ClassificationEvent",
     "BASIC",
     "CONSERVATIVE",
     "CONVENTIONAL",
@@ -39,8 +32,5 @@ __all__ = [
     "LimitedPointerDirectory",
     "PAPER_POLICIES",
     "STENSTROM",
-    "TracingDirectoryProtocol",
-    "explain_block",
     "policy_by_name",
-    "trace_classification",
 ]

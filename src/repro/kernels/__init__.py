@@ -21,17 +21,21 @@ Layers:
   (the ``REPRO_NO_KERNEL`` environment variable and
   :func:`repro.kernels.registry.disabled`).
 * :mod:`repro.kernels.directory` / :mod:`repro.kernels.snooping` — the
-  interpreters.  ``try_replay(machine, packed)`` either replays the
-  whole trace on the kernel and returns the stats object, or returns
-  ``None`` (machine untouched) when the replay is outside the kernel's
-  envelope, in which case the machine falls through to its packed loop.
+  interpreters.  Each has one ``envelope(machine, packed, stream)``
+  naming the first gate a replay fails, and one ``Replay`` (a
+  :class:`repro.kernels.registry.KernelReplay`) fed trace segments.
+  ``try_replay(machine, packed)`` either replays the whole trace on the
+  kernel and returns the stats object, or returns ``None`` (machine
+  untouched, fallback counted) when the envelope declines it, in which
+  case the machine runs its reference path.
+* :mod:`repro.kernels.streaming` — the same replays fed one segment at
+  a time, in O(chunk) memory.
 
 The kernels engage automatically from ``DirectoryMachine.run`` /
-``BusMachine.run`` under the same guard as the packed fast path (packed
-trace, no checker, no ``step_hook``) plus eligibility conditions
-documented in ``docs/PERFORMANCE.md``; statistics and final machine
-state are bit-identical to the object engines (enforced by the
-conformance oracle's kernel-vs-object stage).
+``BusMachine.run`` for any packable trace inside the envelope
+(documented in ``docs/PERFORMANCE.md``); statistics and final machine
+state are bit-identical to the reference path (enforced by the
+conformance oracle's kernel-diff stage).
 """
 
 from repro.kernels.registry import disabled, engagements, kernels_enabled

@@ -28,9 +28,11 @@ first symbol's processor), and symbol sequences switch to 16-bit
 encodings past 128 processors (:meth:`PackedTrace.block_sequences_wide`)
 with chunk-skipping holder decodes, raising the processor cap to 1024.
 
+:func:`envelope` lists every gate; :class:`Replay` runs the walks for
+batch replay (:func:`try_replay`) and the streaming backend alike.
 ``try_replay`` returns ``None`` without touching the machine whenever
-the replay falls outside the kernel envelope (see the gate comments);
-the caller then runs the packed loop, keeping behavior identical.
+the replay falls outside the envelope; the caller then runs the
+reference path, keeping behavior identical.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from __future__ import annotations
 from collections import Counter
 
 from repro.cache.core import InfiniteCache, SetAssociativeCache
-from repro.common.errors import ProtocolError
 from repro.common.stats import CacheStats, MessageStats
 from repro.directory.entry import DirectoryEntry
 from repro.directory.protocol import DirectoryProtocol
@@ -62,14 +63,11 @@ from repro.system.placement import (
 )
 
 
-def _fallback(reason: str):
-    """Count one fallback and return ``None`` (the try_replay contract)."""
-    return registry.record_fallback("directory", reason)
-
-#: Stateless placements whose ``home`` is a pure function of the page.
-#: First-touch is handled separately: its homes are resolved from each
-#: page's first symbol before the walk.
-_PLACEMENT_TYPES = (RoundRobinPlacement, BestStaticPlacement)
+#: Placements the kernel resolves: the stateless ones, whose ``home`` is
+#: a pure function of the page, and first-touch, whose homes
+#: :class:`Replay` resolves from each page's first symbol.
+_PLACEMENT_TYPES = (RoundRobinPlacement, BestStaticPlacement,
+                    FirstTouchPlacement)
 
 #: Processor cap: symbols must fit the 16-bit wide encoding and node
 #: keys must stay practical (2 bits per processor plus directory bits).
@@ -390,127 +388,184 @@ def _walk_dir_group(table, homes: tuple, stream, ways: int, lru: bool):
             (ev_short, ev_data, ev_dirty, ev_clean, forget))
 
 
-def try_replay(machine, packed):
-    """Replay ``packed`` on the kernel, or return ``None`` untouched.
+def envelope(machine, packed=None, stream: bool = False) -> str | None:
+    """The directory kernel's envelope: the first gate that ``machine``
+    (and ``packed``, when given) fails, or ``None`` inside it.
 
-    The envelope (each gate falls back to the packed loop, which is
-    always correct): kernels enabled; exact production component types
-    (subclassed machines/placements/representations may observe steps
-    the kernel elides); no per-block message tracking; processor ids
-    packable (<= 1024); and a fresh machine.  Finite geometries replay
-    eviction-aware: sets that can never evict take the independent
-    per-block walks, conflict sets take the grouped recency walks.  The
-    genuinely unsupported leftovers fall back honestly by reason:
-    random replacement (its RNG draws are unobservable from here) and
-    silent clean evictions (``eviction_notification=False`` leaves the
-    directory's copy set stale, outside the packed-state encoding).
+    Batch replay and the streaming backend (``stream``) both check this
+    one list, in this order; each gate's name is the fallback reason
+    recorded when it fails:
+
+    * ``disabled`` — the kill switches (:func:`registry.disabled`,
+      ``REPRO_NO_KERNEL``);
+    * ``step-hook`` / ``checker`` — an observer or the coherence checker
+      must see every step, which the kernel elides;
+    * ``machine-subclass``, or a family machine's own
+      ``kernel_fallback_reason`` — the rows encode exactly
+      :class:`DirectoryMachine`'s transitions;
+    * ``num-procs`` — more processors than the packed keys hold (1024);
+    * ``block-messages`` — per-block message tracking;
+    * ``placement`` / ``representation`` / ``protocol-type`` —
+      components other than the exactly-shipped types (a subclass may
+      observe steps the kernel elides);
+    * ``not-fresh`` — a machine that has already replayed something;
+    * ``finite-cache`` (streams only) / ``cache-type`` (neither
+      set-associative nor infinite);
+    * ``table-unsupported`` — a policy the compiler cannot lower;
+    * ``trace-procs`` — a trace naming more processors than the machine;
+    * ``symbol-range`` — a processor id outside the symbol encoding;
+    * ``replacement-random`` / ``eviction-silent`` — conflict sets (see
+      :meth:`PackedTrace.set_streams`) under random replacement, whose
+      RNG draws are unobservable here, or without clean-eviction
+      notification, which leaves copy-set members the packed state
+      cannot represent.
     """
+    from repro.system.machine import DirectoryMachine
+
     if not registry.kernels_enabled():
-        return _fallback("disabled")
+        return "disabled"
+    if machine.step_hook is not None:
+        return "step-hook"
+    if machine._check:
+        return "checker"
+    if type(machine) is not DirectoryMachine:
+        return machine.kernel_fallback_reason
     config = machine.config
     num_procs = config.num_procs
     if num_procs > _MAX_PROCS:
-        return _fallback("num-procs")
+        return "num-procs"
     if machine.block_messages is not None:
-        return _fallback("block-messages")
-    placement = machine.placement
-    first_touch = type(placement) is FirstTouchPlacement
-    if not first_touch and type(placement) not in _PLACEMENT_TYPES:
-        return _fallback("placement")
+        return "block-messages"
+    if type(machine.placement) not in _PLACEMENT_TYPES:
+        return "placement"
     if type(machine.representation) is not FullMapDirectory:
-        return _fallback("representation")
+        return "representation"
     protocol = machine.protocol
     if type(protocol) is not DirectoryProtocol:
-        return _fallback("protocol-type")
-    if packed.num_procs > num_procs:
-        return _fallback("trace-procs")
+        return "protocol-type"
     if (machine.stats != MessageStats()
             or machine.cache_stats != CacheStats()
             or protocol._entries or protocol.transitions
             or machine.invalidation_sizes
             or any(len(cache) for cache in machine.caches)):
-        return _fallback("not-fresh")
-    first = machine.caches[0] if machine.caches else None
-    finite = type(first) is SetAssociativeCache
-    if not finite and type(first) is not InfiniteCache:
-        return _fallback("cache-type")
-    wide = packed.num_procs > 128
+        return "not-fresh"
+    cache_type = type(machine.caches[0]) if machine.caches else None
+    if cache_type is not InfiniteCache:
+        if stream:
+            return "finite-cache"
+        if cache_type is not SetAssociativeCache:
+            return "cache-type"
     try:
-        if wide:
-            seqs = packed.block_sequences_wide(machine._block_shift)
-        else:
-            seqs = packed.block_sequences(machine._block_shift)
-    except (ValueError, OverflowError):  # a processor id out of range
-        return _fallback("symbol-range")
-    conflicts: dict = {}
-    lru = False
-    ways = 0
-    if finite:
-        ways = config.cache.associativity
-        conflicts = packed.set_streams(
-            machine._block_shift, config.cache.num_sets, ways
-        )
-        if conflicts:
-            replacement = config.cache.replacement
-            if replacement == "random":
-                # The per-cache replacement RNG is unobservable here.
-                return _fallback("replacement-random")
-            if not config.eviction_notification:
-                # Silent clean evictions leave stale copy-set members the
-                # packed single-bitmask state cannot represent.
-                return _fallback("eviction-silent")
-            lru = replacement == "lru"
-    try:
-        table = registry.dir_table(machine.policy, num_procs)
+        registry.dir_table(machine.policy, num_procs)
     except KernelUnsupported:
-        return _fallback("table-unsupported")
-    home_shift = machine._home_shift
-    new_homes: dict[int, int] = {}
-    if first_touch:
-        # A fresh machine's first access to a page is always a miss, so
-        # the page's home is the first symbol's processor.  Pages the
-        # (possibly pre-seeded) placement already knows keep their homes.
-        homes_map = dict(placement._homes)
-        for block, seq in seqs.items():
-            page = block >> home_shift
-            if page not in homes_map:
-                sym0 = (seq[0] | seq[1] << 8) if wide else seq[0]
-                new_homes[page] = homes_map[page] = sym0 >> 1
-        home_of = homes_map.__getitem__
-    else:
-        home_of = None
-    conflict_blocks: set[int] = set()
-    for blocks, _stream in conflicts.values():
-        conflict_blocks.update(blocks)
-    seq_results = table.seq_results
-    root_key = table.rows.initial_state << (2 * num_procs)
-    totals = [0] * _VEC
-    inv_sizes: dict[int, int] = {}
-    finals: list[tuple[int, int]] = []
-    groups: list[tuple] = []
-    ev_totals = (0, 0, 0, 0, 0)
+        return "table-unsupported"
+    if packed is None:
+        return None
+    if packed.num_procs > num_procs:
+        return "trace-procs"
     try:
+        registry.block_sequences(packed, machine._block_shift)
+    except (ValueError, OverflowError):
+        return "symbol-range"
+    if registry.conflict_sets(machine, packed):
+        if config.cache.replacement == "random":
+            return "replacement-random"
+        if not config.eviction_notification:
+            return "eviction-silent"
+    return None
+
+
+class Replay(registry.KernelReplay):
+    """A directory machine's replay on the compiled tables.
+
+    Every block keeps its final packed state between segments (its home
+    is a function of its page), so a block spanning segments resumes its
+    walk where it stopped; a block's first walk starts at the root and
+    shares the per-sequence result cache.  Conflict sets (finite caches,
+    batch only) replay as group walks.  First-touch homes are resolved
+    from each page's first symbol before its walk: a fresh machine's
+    first access to a page is always a miss, so the home is that
+    access's processor.  Pages the (possibly pre-seeded) placement
+    already knows keep their homes.
+    """
+
+    ENGINE = "directory"
+    envelope = staticmethod(envelope)
+
+    def __init__(self, machine):
+        super().__init__(machine)
+        num_procs = machine.config.num_procs
+        self._table = registry.dir_table(machine.policy, num_procs)
+        self._root_key = self._table.rows.initial_state << (2 * num_procs)
+        placement = machine.placement
+        #: page -> home for first-touch placement (None otherwise), and
+        #: the homes this replay assigned.
+        self._homes = (dict(placement._homes)
+                       if type(placement) is FirstTouchPlacement else None)
+        self._new_homes: dict[int, int] = {}
+        #: block -> final packed state of every block walked (ints
+        #: only, so the dict stays out of the cyclic GC's way).
+        self._states: dict[int, int] = {}
+        self._totals = [0] * _VEC
+        self._inv_sizes: dict[int, int] = {}
+        self._groups: list[tuple] = []
+        self._evictions = [0] * 5
+
+    def _walk_segment(self, packed) -> None:
+        machine = self.machine
+        seqs, wide = registry.block_sequences(packed, machine._block_shift)
+        conflicts = registry.conflict_sets(machine, packed)
+        conflict_blocks: set[int] = set()
+        for blocks, _stream in conflicts.values():
+            conflict_blocks.update(blocks)
+        table = self._table
+        node_of = table.node
+        seq_results = table.seq_results
+        root_key = self._root_key
+        home_shift = machine._home_shift
+        placement_home = machine.placement.home
+        homes = self._homes
+        new_homes = self._new_homes
+        states = self._states
+        inv_sizes = self._inv_sizes
+        vecs = []
         for block, seq in seqs.items():
-            if block in conflict_blocks:
-                continue
             page = block >> home_shift
-            home = home_of(page) if first_touch else placement.home(page, 0)
-            seq_key = (home, seq, 1) if wide else (home, seq)
-            result = seq_results.get(seq_key)
-            if result is None:
-                root = table.node((home, root_key), root_key)
+            if homes is None:
+                home = placement_home(page, 0)
+            else:
+                home = homes.get(page)
+                if home is None:
+                    sym0 = (seq[0] | seq[1] << 8) if wide else seq[0]
+                    home = homes[page] = new_homes[page] = sym0 >> 1
+            key = states.get(block)
+            if key is not None:
                 syms = memoryview(seq).cast("H") if wide else seq
-                result = _walk(table, home, root, syms)
-                table.cache_seq_result(seq_key, result)
+                result = _walk(table, home, node_of((home, key), key), syms)
+            else:
+                if block in conflict_blocks:
+                    continue
+                seq_key = (home, seq, 1) if wide else (home, seq)
+                result = seq_results.get(seq_key)
+                if result is None:
+                    root = node_of((home, root_key), root_key)
+                    syms = memoryview(seq).cast("H") if wide else seq
+                    result = _walk(table, home, root, syms)
+                    table.cache_seq_result(seq_key, result)
             vec, inv, final_key = result
-            totals = [a + b for a, b in zip(totals, vec)]
+            vecs.append(vec)
             for size, count in inv:
                 inv_sizes[size] = inv_sizes.get(size, 0) + count
-            finals.append((block, final_key))
+            states[block] = final_key
+        totals = self._totals
+        for i, column in enumerate(zip(*vecs)):
+            totals[i] += sum(column)
+        ways = machine.config.cache.associativity
+        lru = machine.config.cache.replacement == "lru"
         for blocks, stream in conflicts.values():
             ghomes = tuple(
-                home_of(b >> home_shift) if first_touch
-                else placement.home(b >> home_shift, 0)
+                placement_home(b >> home_shift, 0) if homes is None
+                else homes[b >> home_shift]
                 for b in blocks
             )
             group_key = (ways, lru, ghomes, stream.tobytes())
@@ -519,32 +574,36 @@ def try_replay(machine, packed):
                 result = _walk_dir_group(table, ghomes, stream, ways, lru)
                 table.cache_group_result(group_key, result)
             vec, inv, gfinals, recency, gev = result
-            totals = [a + b for a, b in zip(totals, vec)]
+            for i, v in enumerate(vec):
+                totals[i] += v
             for size, count in inv:
                 inv_sizes[size] = inv_sizes.get(size, 0) + count
-            ev_totals = tuple(a + b for a, b in zip(ev_totals, gev))
-            groups.append((blocks, gfinals, recency))
-    except (KernelUnsupported, KeyError):
-        # DFA capacity, or a combination outside the probed rows: the
-        # machine is untouched (mutation happens only below), so the
-        # packed loop can still run the replay.
-        return _fallback("walk-abort")
-    _apply(machine, totals, inv_sizes, finals)
-    if groups:
-        _apply_groups(machine, groups)
-    if any(ev_totals):
-        _apply_evictions(machine, ev_totals)
-    if new_homes:
-        placement._homes.update(new_homes)
-    registry.engagements["directory"] += 1
-    if machine.step_hook is not None:
-        raise ProtocolError(
-            "step_hook installed mid-replay on the table-driven kernel "
-            "path: the hook missed every earlier step, so its "
-            "observations are unreliable; install it before run() to "
-            "take the generic per-access path"
-        )
-    return machine.stats
+            for i, v in enumerate(gev):
+                self._evictions[i] += v
+            self._groups.append((blocks, gfinals, recency))
+
+    def _commit(self):
+        machine = self.machine
+        _apply(machine, self._totals, self._inv_sizes, self._states.items())
+        if self._groups:
+            _apply_groups(machine, self._groups)
+        if any(self._evictions):
+            _apply_evictions(machine, self._evictions)
+        if self._new_homes:
+            machine.placement._homes.update(self._new_homes)
+        return machine.stats
+
+
+def try_replay(machine, packed):
+    """Replay ``packed`` on the kernel and return the stats, or return
+    ``None`` — machine untouched, fallback counted — when the
+    :func:`envelope` declines the replay or a walk aborts."""
+    try:
+        replay = Replay(machine)
+        replay.feed(packed)
+    except registry.Declined:
+        return None
+    return replay.finish()
 
 
 def _final_entry(machine, block: int, final_key: int, shift2: int) -> set[int]:
@@ -609,7 +668,7 @@ def _apply_groups(machine, groups) -> None:
 
     Each processor's lines are re-inserted in the walk's final recency
     order (oldest first), so the machine's per-set ordering — observable
-    by any further accesses after the replay — matches the packed loop's
+    by any further accesses after the replay — matches the reference path's
     exactly.
     """
     from repro.system.machine import CState

@@ -1,4 +1,5 @@
-"""Process-wide registry of compiled kernels, plus the kill switches.
+"""Process-wide registry of compiled kernels, the kill switches, and the
+replay skeleton both kernels share.
 
 Compiled tables and their lazily-grown DFAs are shared by every machine
 in the process: the first replay of a workload pays for edge expansion,
@@ -8,13 +9,20 @@ reusable facts — node transitions and per-sequence walk results — so
 sharing them across replays, threads (the stats accumulation is
 per-replay, guarded by the GIL), and result-cache workers is safe.
 
-Two switches force the legacy packed loop without touching call sites:
+Two switches send every replay to the machines' reference path (each
+access through ``_access_block``) without touching call sites:
 
 * the ``REPRO_NO_KERNEL`` environment variable (checked per replay, so
   benchmark subprocesses and tests can toggle it);
 * :func:`disabled`, a re-entrant context manager used by the
-  conformance oracle to pin one replay to the packed path while the
-  kernel stage exercises the other.
+  conformance oracle to produce a reference replay for the protocols
+  its checked stage does not cover.
+
+:class:`KernelReplay` is the one replay skeleton: batch replay feeds it
+the whole trace, the streaming backend feeds it segments.  Every gate
+it applies comes from the kernel module's ``envelope``, and every
+refusal — a failed gate or an aborted walk — is counted here by
+:func:`record_fallback` and raised as :class:`Declined`.
 """
 
 from __future__ import annotations
@@ -24,6 +32,7 @@ import os
 from collections import Counter
 from contextlib import contextmanager
 
+from repro.common.errors import ProtocolError
 from repro.kernels import tables
 
 #: Replays completed by each kernel (keys ``"directory"`` / ``"bus"``).
@@ -31,8 +40,8 @@ from repro.kernels import tables
 #: machines themselves have ``__slots__`` and carry no kernel marker.
 engagements: Counter = Counter()
 
-#: Replays that fell back from a kernel to the legacy packed loop,
-#: keyed ``(engine, reason)``.  The telemetry mirror (when a session is
+#: Replays that fell back from a kernel to the reference path, keyed
+#: ``(engine, reason)``.  The telemetry mirror (when a session is
 #: active) is :data:`FALLBACK_METRIC`, so kernel-envelope gaps are
 #: measurable in production traffic instead of silent.
 fallbacks: Counter = Counter()
@@ -45,13 +54,12 @@ _log = logging.getLogger("repro.kernels")
 
 
 def record_fallback(engine: str, reason: str) -> None:
-    """Count one kernel-to-packed-loop fallback (and return ``None``,
-    so gate sites read ``return record_fallback(...)``).
+    """Count one kernel-to-reference-path fallback.
 
-    Every ``try_replay`` gate routes through here: the module counter
-    feeds tests and ``counts()``-style introspection, the ambient
-    telemetry counter feeds ``/metrics`` on a serving shard, and the
-    debug log line names the reason for operators chasing a throughput
+    Every refusal of :class:`KernelReplay` routes through here: the
+    module counter feeds tests and ``counts()``-style introspection, the
+    ambient telemetry counter feeds ``/metrics`` on a serving shard,
+    and the debug log line names the reason for operators chasing a throughput
     regression back to an envelope gap.
     """
     fallbacks[(engine, reason)] += 1
@@ -66,7 +74,7 @@ def record_fallback(engine: str, reason: str) -> None:
         _log.debug("kernel fallback: engine=%s reason=%s", engine, reason)
 
 #: Safety valve: a DFA that outgrows this stops expanding and the replay
-#: falls back to the packed loop (the machine is only mutated after a
+#: falls back to the reference path (the machine is only mutated after a
 #: complete walk, so a mid-walk bailout is free).
 NODE_LIMIT = 1 << 17
 
@@ -83,7 +91,7 @@ _disable_depth = 0
 
 @contextmanager
 def disabled():
-    """Force the packed loops for the duration of the ``with`` block."""
+    """Force the reference path for the duration of the ``with`` block."""
     global _disable_depth
     _disable_depth += 1
     try:
@@ -203,3 +211,105 @@ def clear() -> None:
     _bus_tables.clear()
     engagements.clear()
     fallbacks.clear()
+
+
+class Declined(tables.KernelUnsupported):
+    """A replay the kernel refused; already counted by
+    :func:`record_fallback` under ``(engine, reason)``."""
+
+    def __init__(self, engine: str, reason: str):
+        super().__init__(f"{engine}: {reason}")
+        self.engine = engine
+        self.reason = reason
+
+
+def block_sequences(packed, block_shift: int):
+    """``(seqs, wide)``: the per-block symbol strings of ``packed``,
+    16-bit (``wide``) past 128 processors."""
+    if packed.num_procs > 128:
+        return packed.block_sequences_wide(block_shift), True
+    return packed.block_sequences(block_shift), False
+
+
+def conflict_sets(machine, packed) -> dict:
+    """The conflict sets of ``packed`` on ``machine``'s finite caches
+    (:meth:`PackedTrace.set_streams`); empty for infinite caches."""
+    cache = machine.config.cache
+    if cache.is_infinite:
+        return {}
+    return packed.set_streams(
+        machine._block_shift, cache.num_sets, cache.associativity
+    )
+
+
+class KernelReplay:
+    """One machine's replay on a kernel's compiled tables, fed segments.
+
+    Batch replay (``try_replay``) feeds the whole trace as one segment;
+    the streaming backend (:mod:`repro.kernels.streaming`) feeds
+    segments as they arrive.  The constructor checks the kernel
+    module's :attr:`envelope` on the machine alone and :meth:`feed`
+    checks it again with each segment, so batch and stream apply the
+    same gates in the same order.  A failed gate, or a walk that aborts
+    (DFA capacity, a combination outside the probed rows, an
+    uncomposable multi-holder snoop), is counted under :attr:`ENGINE`
+    and raised as :class:`Declined`.  The machine is untouched until
+    :meth:`finish`, so the caller can still run the reference path.
+
+    Each kernel module subclasses this with its ``envelope`` (a static
+    ``envelope(machine, packed, stream) -> reason | None``), a
+    ``_walk_segment(packed)`` accumulating one segment's walks, and an
+    ``_commit()`` writing them into the machine and returning its stats.
+    """
+
+    #: Engagement / fallback engine label.
+    ENGINE = ""
+    #: Whether the replay sees one segment at a time.  The envelope
+    #: then declines finite caches: replacement needs a set's *global*
+    #: conflict structure, which no segment can establish.
+    STREAM = False
+
+    def __init__(self, machine):
+        self.machine = machine
+        self._finished = False
+        self._check(None)
+
+    def _check(self, packed) -> None:
+        reason = self.envelope(self.machine, packed, self.STREAM)
+        if reason is not None:
+            self._decline(reason)
+
+    def _decline(self, reason: str):
+        # A refused replay is over: its partial walks must never reach
+        # the machine through a later finish().
+        self._finished = True
+        record_fallback(self.ENGINE, reason)
+        raise Declined(self.ENGINE, reason)
+
+    def feed(self, packed) -> None:
+        """Replay one trace segment's accesses (no machine mutation)."""
+        if self._finished:
+            raise ProtocolError(
+                "feed() on a finished or refused kernel replay")
+        self._check(packed)
+        try:
+            self._walk_segment(packed)
+        except (tables.KernelUnsupported, KeyError):
+            self._decline("walk-abort")
+
+    def finish(self):
+        """Write the accumulated replay into the machine; return stats."""
+        if self._finished:
+            raise ProtocolError(
+                "finish() on a finished or refused kernel replay")
+        self._finished = True
+        if self.machine.step_hook is not None:
+            raise ProtocolError(
+                "step_hook installed mid-replay on the table-driven kernel "
+                "path: the hook missed every earlier step, so its "
+                "observations are unreliable; install it before run() or "
+                "the first feed() to take the reference path"
+            )
+        stats = self._commit()
+        engagements[self.ENGINE] += 1
+        return stats

@@ -25,12 +25,14 @@ probes: every holder's reaction depends only on its own line, and the
 requester fill / writer upgrade is the highest-:data:`RANK` candidate
 (migratory beats shared beats default — exactly the wired-OR of the
 Migratory and Shared bus lines).  A rank tie between *different*
-candidates has no wired-OR reading, so the walk aborts to the packed
-loop rather than guess.
+candidates has no wired-OR reading, so the walk aborts to the
+reference path rather than guess.
 
+:func:`envelope` lists every gate; :class:`Replay` runs the walks for
+batch replay (:func:`try_replay`) and the streaming backend alike.
 ``try_replay`` returns ``None`` without touching the machine whenever
-the replay falls outside the kernel envelope; the caller then runs the
-packed loop, keeping behavior identical.
+the replay falls outside the envelope; the caller then runs the
+reference path, keeping behavior identical.
 """
 
 from __future__ import annotations
@@ -58,11 +60,6 @@ _WH_SLOT = {"invalidation": 7, "update": 8}
 
 #: Processor cap: symbols must fit the 16-bit wide encoding.
 _MAX_PROCS = 1024
-
-
-def _fallback(reason: str):
-    """Count one fallback and return ``None`` (the try_replay contract)."""
-    return registry.record_fallback("bus", reason)
 
 
 def _holders(key: int, fb: int, skip: int) -> list[tuple[int, int, int]]:
@@ -321,88 +318,140 @@ def _walk_bus_group(table, count: int, stream, ways: int, lru: bool):
             (writebacks, ev_dirty, ev_clean))
 
 
-def try_replay(machine, packed):
-    """Replay ``packed`` on the kernel, or return ``None`` untouched.
+def envelope(machine, packed=None, stream: bool = False) -> str | None:
+    """The bus kernel's envelope: the first gate that ``machine`` (and
+    ``packed``, when given) fails, or ``None`` inside it.
 
-    The envelope (each gate falls back to the packed loop, which is
-    always correct): kernels enabled; an exactly-shipped protocol type
-    (checked by the compiler); processor ids packable (<= 1024); and a
-    fresh machine.  Finite geometries replay eviction-aware: sets that
-    can never evict take the independent per-block walks, conflict sets
-    take the grouped recency walks.  Random replacement is the one
-    genuinely unsupported finite geometry (its RNG draws are
-    unobservable from here) and falls back by that name.
+    Batch replay and the streaming backend (``stream``) both check this
+    one list, in this order; each gate's name is the fallback reason
+    recorded when it fails:
+
+    * ``disabled`` — the kill switches (:func:`registry.disabled`,
+      ``REPRO_NO_KERNEL``);
+    * ``step-hook`` / ``checker`` — an observer or the coherence checker
+      must see every step, which the kernel elides;
+    * ``machine-subclass``, or a subclass's own
+      ``kernel_fallback_reason`` — the rows encode exactly
+      :class:`BusMachine`'s transitions;
+    * ``num-procs`` — more processors than the packed keys hold (1024);
+    * ``not-fresh`` — a machine that has already replayed something;
+    * ``finite-cache`` (streams only) / ``cache-type`` (neither
+      set-associative nor infinite);
+    * a protocol family's own ``kernel_fallback_reason`` — the family
+      declares itself outside the DFA abstraction (see
+      :mod:`repro.protocols.registry`);
+    * ``table-unsupported`` — a protocol the compiler cannot lower
+      (including every protocol type it does not ship);
+    * ``trace-procs`` — a trace naming more processors than the machine;
+    * ``symbol-range`` — a processor id outside the symbol encoding;
+    * ``replacement-random`` — conflict sets (see
+      :meth:`PackedTrace.set_streams`) under random replacement, whose
+      RNG draws are unobservable here.
     """
+    from repro.snooping.machine import BusMachine
+
     if not registry.kernels_enabled():
-        return _fallback("disabled")
+        return "disabled"
+    if machine.step_hook is not None:
+        return "step-hook"
+    if machine._check:
+        return "checker"
+    if type(machine) is not BusMachine:
+        return machine.kernel_fallback_reason
     config = machine.config
     num_procs = config.num_procs
     if num_procs > _MAX_PROCS:
-        return _fallback("num-procs")
-    if packed.num_procs > num_procs:
-        return _fallback("trace-procs")
+        return "num-procs"
     if (machine.bus_stats != BusStats()
             or machine.cache_stats != CacheStats()
             or any(len(cache) for cache in machine.caches)):
-        return _fallback("not-fresh")
-    first = machine.caches[0] if machine.caches else None
-    finite = type(first) is SetAssociativeCache
-    if not finite and type(first) is not InfiniteCache:
-        return _fallback("cache-type")
-    wide = packed.num_procs > 128
-    try:
-        if wide:
-            seqs = packed.block_sequences_wide(machine._block_shift)
-        else:
-            seqs = packed.block_sequences(machine._block_shift)
-    except (ValueError, OverflowError):  # a processor id out of range
-        return _fallback("symbol-range")
-    conflicts: dict = {}
-    lru = False
-    ways = 0
-    if finite:
-        ways = config.cache.associativity
-        conflicts = packed.set_streams(
-            machine._block_shift, config.cache.num_sets, ways
-        )
-        if conflicts:
-            replacement = config.cache.replacement
-            if replacement == "random":
-                # The per-cache replacement RNG is unobservable here.
-                return _fallback("replacement-random")
-            lru = replacement == "lru"
-    family_reason = getattr(machine.protocol, "kernel_fallback_reason", None)
+        return "not-fresh"
+    cache_type = type(machine.caches[0]) if machine.caches else None
+    if cache_type is not InfiniteCache:
+        if stream:
+            return "finite-cache"
+        if cache_type is not SetAssociativeCache:
+            return "cache-type"
+    protocol = machine.protocol
+    family_reason = getattr(protocol, "kernel_fallback_reason", None)
     if family_reason is not None:
-        # The protocol family declares itself outside the DFA
-        # abstraction (see repro.protocols.registry): name the fallback
-        # honestly instead of probing a table that cannot exist.
-        return _fallback(family_reason)
+        return family_reason
     try:
-        table = registry.bus_table(machine.protocol, num_procs)
+        registry.bus_table(protocol, num_procs)
     except (KernelUnsupported, ProtocolError):
-        return _fallback("table-unsupported")
-    conflict_blocks: set[int] = set()
-    for blocks, _stream in conflicts.values():
-        conflict_blocks.update(blocks)
-    seq_results = table.seq_results
-    totals = [0] * _VEC
-    finals: list[tuple[int, int]] = []
-    groups: list[tuple] = []
-    ev_totals = (0, 0, 0)
+        return "table-unsupported"
+    if packed is None:
+        return None
+    if packed.num_procs > num_procs:
+        return "trace-procs"
     try:
+        registry.block_sequences(packed, machine._block_shift)
+    except (ValueError, OverflowError):
+        return "symbol-range"
+    if (registry.conflict_sets(machine, packed)
+            and config.cache.replacement == "random"):
+        return "replacement-random"
+    return None
+
+
+class Replay(registry.KernelReplay):
+    """A bus machine's replay on the compiled tables.
+
+    Bus charges carry no home node or invalidation sizes, so a block's
+    state between segments is just its final packed key; a block's
+    first walk starts at the root and shares the per-sequence result
+    cache.  Conflict sets (finite caches, batch only) replay as group
+    walks.
+    """
+
+    ENGINE = "bus"
+    envelope = staticmethod(envelope)
+
+    def __init__(self, machine):
+        super().__init__(machine)
+        self._table = registry.bus_table(machine.protocol,
+                                         machine.config.num_procs)
+        #: block -> final packed state of every block walked (ints
+        #: only, so the dict stays out of the cyclic GC's way).
+        self._states: dict[int, int] = {}
+        self._totals = [0] * _VEC
+        self._groups: list[tuple] = []
+        self._evictions = [0] * 3
+
+    def _walk_segment(self, packed) -> None:
+        machine = self.machine
+        seqs, wide = registry.block_sequences(packed, machine._block_shift)
+        conflicts = registry.conflict_sets(machine, packed)
+        conflict_blocks: set[int] = set()
+        for blocks, _stream in conflicts.values():
+            conflict_blocks.update(blocks)
+        table = self._table
+        node_of = table.node
+        seq_results = table.seq_results
+        states = self._states
+        vecs = []
         for block, seq in seqs.items():
-            if block in conflict_blocks:
-                continue
-            seq_key = (seq, 1) if wide else seq
-            result = seq_results.get(seq_key)
-            if result is None:
-                root = table.node(0, 0)
+            key = states.get(block)
+            if key is not None:
                 syms = memoryview(seq).cast("H") if wide else seq
-                result = _walk(table, root, syms)
-                table.cache_seq_result(seq_key, result)
+                result = _walk(table, node_of(key, key), syms)
+            else:
+                if block in conflict_blocks:
+                    continue
+                seq_key = (seq, 1) if wide else seq
+                result = seq_results.get(seq_key)
+                if result is None:
+                    syms = memoryview(seq).cast("H") if wide else seq
+                    result = _walk(table, node_of(0, 0), syms)
+                    table.cache_seq_result(seq_key, result)
             vec, final_key = result
-            totals = [a + b for a, b in zip(totals, vec)]
-            finals.append((block, final_key))
+            vecs.append(vec)
+            states[block] = final_key
+        totals = self._totals
+        for i, column in enumerate(zip(*vecs)):
+            totals[i] += sum(column)
+        ways = machine.config.cache.associativity
+        lru = machine.config.cache.replacement == "lru"
         for blocks, stream in conflicts.values():
             group_key = (ways, lru, stream.tobytes())
             result = table.group_results.get(group_key)
@@ -410,28 +459,33 @@ def try_replay(machine, packed):
                 result = _walk_bus_group(table, len(blocks), stream, ways, lru)
                 table.cache_group_result(group_key, result)
             vec, gfinals, recency, gev = result
-            totals = [a + b for a, b in zip(totals, vec)]
-            ev_totals = tuple(a + b for a, b in zip(ev_totals, gev))
-            groups.append((blocks, gfinals, recency))
-    except (KernelUnsupported, KeyError):
-        # DFA capacity, an un-probed combination, or an uncomposable
-        # multi-holder snoop: the machine is untouched (mutation happens
-        # only below), so the packed loop can still run the replay.
-        return _fallback("walk-abort")
-    _apply(machine, table, totals, finals)
-    if groups:
-        _apply_groups(machine, table, groups)
-    if any(ev_totals):
-        _apply_evictions(machine, ev_totals)
-    registry.engagements["bus"] += 1
-    if machine.step_hook is not None:
-        raise ProtocolError(
-            "step_hook installed mid-replay on the table-driven kernel "
-            "path: the hook missed every earlier step, so its "
-            "observations are unreliable; install it before run() to "
-            "take the generic per-access path"
-        )
-    return machine.bus_stats
+            for i, v in enumerate(vec):
+                totals[i] += v
+            for i, v in enumerate(gev):
+                self._evictions[i] += v
+            self._groups.append((blocks, gfinals, recency))
+
+    def _commit(self):
+        machine = self.machine
+        _apply(machine, self._table, self._totals,
+                      self._states.items())
+        if self._groups:
+            _apply_groups(machine, self._table, self._groups)
+        if any(self._evictions):
+            _apply_evictions(machine, self._evictions)
+        return machine.bus_stats
+
+
+def try_replay(machine, packed):
+    """Replay ``packed`` on the kernel and return the stats, or return
+    ``None`` — machine untouched, fallback counted — when the
+    :func:`envelope` declines the replay or a walk aborts."""
+    try:
+        replay = Replay(machine)
+        replay.feed(packed)
+    except registry.Declined:
+        return None
+    return replay.finish()
 
 
 def _insert_line(cache, block: int, field: int) -> None:
@@ -484,7 +538,7 @@ def _apply_groups(machine, table, groups) -> None:
 
     Each processor's lines are re-inserted in the walk's final recency
     order (oldest first), so the machine's per-set ordering — observable
-    by any further accesses after the replay — matches the packed loop's
+    by any further accesses after the replay — matches the reference path's
     exactly.
     """
     caches = machine.caches

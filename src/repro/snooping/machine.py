@@ -17,13 +17,7 @@ from __future__ import annotations
 import random
 from typing import Callable, Iterable
 
-from repro.cache.core import (
-    Cache,
-    CacheLine,
-    InfiniteCache,
-    SetAssociativeCache,
-    make_cache,
-)
+from repro.cache.core import Cache, CacheLine, make_cache
 from repro.common.config import MachineConfig
 from repro.conformance.invariants import check_snooping_block
 from repro.common.errors import ProtocolError
@@ -31,10 +25,6 @@ from repro.common.stats import BusStats, CacheStats
 from repro.common.types import Access, Op
 from repro.snooping.protocols import SnoopingProtocol
 from repro.snooping.states import SnoopState as St
-
-#: States in which a write completes without a bus transaction — the
-#: precomputed form of ``SnoopState.is_writable`` used by the replay loop.
-_WRITABLE_STATES = frozenset(state for state in St if state.is_writable)
 
 
 class BusMachine:
@@ -45,8 +35,8 @@ class BusMachine:
         "step_hook", "_check", "_block_shift", "_latest", "_version_counter",
     )
 
-    #: Named kernel-fallback reason a subclass replay records (the
-    #: table-driven kernels encode exactly this class's transitions).
+    #: Kernel-fallback reason a subclass replay records (the table-driven
+    #: kernels encode exactly this class's transitions).
     kernel_fallback_reason = "machine-subclass"
 
     def __init__(
@@ -68,7 +58,7 @@ class BusMachine:
         self.cache_stats = CacheStats()
         #: Observer called as ``step_hook(machine, proc, block)`` after
         #: every bus-visible step (the same points the built-in checker
-        #: audits).  Installing one forces the generic replay path.
+        #: audits).  Installing one keeps replays on the reference path.
         self.step_hook = step_hook
         self._check = check
         self._block_shift = config.cache.block_size.bit_length() - 1
@@ -78,133 +68,40 @@ class BusMachine:
     def run(self, trace: Iterable[Access]) -> BusStats:
         """Process every access in ``trace``; returns bus statistics.
 
-        Like :meth:`repro.system.machine.DirectoryMachine.run`, packable
-        traces (anything exposing ``pack()``) replay through a fast
-        columnar loop with bit-identical statistics; the checker and an
-        installed step hook force the generic per-access path.  The
-        hook contract is symmetric across both machines: install the
-        hook *before* calling ``run``.  A hook that appears mid-replay
-        on the packed path (e.g. from a protocol handler) would observe
-        only part of the stream, so the replay ends with a
-        :class:`ProtocolError` instead of returning silently partial
-        observations.
-
-        Under the same guard, replays inside the table-driven kernel
-        envelope (:mod:`repro.kernels`) run on the compiled transition
-        tables instead of the packed loop — bit-identical statistics
-        and final state, roughly an order of magnitude faster.
+        Like :meth:`repro.system.machine.DirectoryMachine.run`: a
+        packable trace (anything exposing ``pack()``) replays on the
+        table-driven kernel when :func:`repro.kernels.snooping.envelope`
+        admits it — identical statistics and final state — and
+        otherwise through :meth:`_replay_reference`, each fallback
+        counted by its reason; other iterables replay access by access.
+        The checker and a step hook keep the replay on the reference
+        path.  Install the hook *before* calling ``run``: one that
+        appears mid-replay on the kernel path (e.g. from a protocol
+        handler) would have missed the steps the kernel already summed,
+        so the replay ends with a :class:`ProtocolError` instead of
+        returning silently partial observations.
         """
         pack = getattr(trace, "pack", None)
-        if pack is not None and not self._check and self.step_hook is None:
-            packed = pack()
-            if type(self) is BusMachine:
-                from repro.kernels.snooping import try_replay
+        if pack is None:
+            access = self.access
+            for acc in trace:
+                access(acc.proc, acc.op is Op.WRITE, acc.addr)
+            return self.bus_stats
+        from repro.kernels.snooping import try_replay
 
-                result = try_replay(self, packed)
-                if result is not None:
-                    return result
-            else:
-                from repro.kernels import registry as kernel_registry
-
-                kernel_registry.record_fallback(
-                    "bus", self.kernel_fallback_reason
-                )
-            return self._run_packed(packed)
-        access = self.access
-        for acc in trace:
-            access(acc.proc, acc.op is Op.WRITE, acc.addr)
+        packed = pack()
+        if try_replay(self, packed) is None:
+            self._replay_reference(packed)
         return self.bus_stats
 
-    def _run_packed(self, packed) -> BusStats:
-        """Replay packed columns, retiring bus-silent hits inline.
-
-        Read hits and writable write hits generate no bus transaction;
-        they retire inside the loop (invoking the protocol's read-hit
-        hook and silent-write transition only when the protocol defines
-        them).  Protocols that update remote copies, or that override
-        ``write_hit_needs_bus``, route every write through the generic
-        handler so their bus accounting is untouched.
-        """
-        blocks = packed.blocks_column(self._block_shift)
-        procs = packed.procs
-        ops = packed.ops
-        caches = self.caches
+    def _replay_reference(self, packed) -> None:
+        """The reference path: every access of ``packed`` through
+        :meth:`_access_block`, over the memoised block column."""
         access = self._access_block
-        protocol = self.protocol
-        proto_cls = type(protocol)
-        plain_read_hit = proto_cls.read_hit is SnoopingProtocol.read_hit
-        read_hit = protocol.read_hit
-        write_hit_silent = protocol.write_hit_silent
-        fast_writes = (
-            proto_cls.write_hit_needs_bus is SnoopingProtocol.write_hit_needs_bus
-            and not protocol.updates_remote_copies
-        )
-        writable = _WRITABLE_STATES
-        read_hits = 0
-        write_hits = 0
-        first = caches[0] if caches else None
-        if type(first) is SetAssociativeCache:
-            sets_by_proc = [cache.hot_sets()[0] for cache in caches]
-            _, num_sets, lru = first.hot_sets()
-            if lru:
-                for proc, is_write, block in zip(procs, ops, blocks):
-                    cset = sets_by_proc[proc][block % num_sets]
-                    line = cset.get(block)
-                    if line is not None:
-                        if not is_write:
-                            cset.move_to_end(block)
-                            read_hits += 1
-                            if not plain_read_hit:
-                                read_hit(line)
-                            continue
-                        if fast_writes and line.state in writable:
-                            write_hits += 1
-                            cset.move_to_end(block)
-                            write_hit_silent(line)
-                            continue
-                    access(proc, is_write, block)
-            else:
-                for proc, is_write, block in zip(procs, ops, blocks):
-                    line = sets_by_proc[proc][block % num_sets].get(block)
-                    if line is not None:
-                        if not is_write:
-                            read_hits += 1
-                            if not plain_read_hit:
-                                read_hit(line)
-                            continue
-                        if fast_writes and line.state in writable:
-                            write_hits += 1
-                            write_hit_silent(line)
-                            continue
-                    access(proc, is_write, block)
-        elif type(first) is InfiniteCache:
-            lines_by_proc = [cache.hot_lines() for cache in caches]
-            for proc, is_write, block in zip(procs, ops, blocks):
-                line = lines_by_proc[proc].get(block)
-                if line is not None:
-                    if not is_write:
-                        read_hits += 1
-                        if not plain_read_hit:
-                            read_hit(line)
-                        continue
-                    if fast_writes and line.state in writable:
-                        write_hits += 1
-                        write_hit_silent(line)
-                        continue
-                access(proc, is_write, block)
-        else:
-            for proc, is_write, block in zip(procs, ops, blocks):
-                access(proc, is_write, block)
-        self.cache_stats.read_hits += read_hits
-        self.cache_stats.write_hits += write_hits
-        if self.step_hook is not None:
-            raise ProtocolError(
-                "step_hook installed mid-replay on the packed fast path: "
-                "the hook missed every earlier step, so its observations "
-                "are unreliable; install it before run() to take the "
-                "generic per-access path"
-            )
-        return self.bus_stats
+        for proc, is_write, block in zip(
+            packed.procs, packed.ops, packed.blocks_column(self._block_shift)
+        ):
+            access(proc, is_write, block)
 
     def access(self, proc: int, is_write: bool, addr: int) -> None:
         """Process one reference from ``proc`` to byte address ``addr``."""

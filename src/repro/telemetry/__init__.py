@@ -20,7 +20,7 @@ of only its end-of-run aggregates:
 * :mod:`repro.telemetry.cli` — the ``repro-stats`` renderer.
 
 Everything is zero-overhead when off: without an active session and
-with no recorder attached, the machines replay through their packed
+with no recorder attached, the machines replay through their kernel
 fast paths untouched, and each instrumentation point costs one
 ``is None`` test.  See ``docs/OBSERVABILITY.md`` for the event schema,
 metric naming, and exporter formats.

@@ -9,7 +9,7 @@ style of a Prometheus client library.  Two properties drive the design:
    no-op metric objects whose ``inc``/``set``/``observe`` bodies are a
    single ``pass``; instrumented code pays one attribute call and
    nothing else.  The machines themselves pay *literally* nothing: with
-   no ``step_hook`` installed they replay through the packed fast path
+   no ``step_hook`` installed they replay through the kernel fast path
    untouched.
 
 2. **Deterministic merge.**  Worker processes of a ``--jobs N`` sweep

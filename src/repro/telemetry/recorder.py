@@ -14,9 +14,10 @@ is read straight from the engine's own state after the step:
   migratory when some cache holds it Migratory-Clean/-Dirty — the
   classification is distributed, exactly as in the hardware).
 
-Installing a hook forces the machine onto the generic per-access replay
-path (both machines guarantee this; see their ``run`` docstrings), so
-recorded runs are slower but statistically identical to bare ones.  A
+Installing a hook keeps the machine on its reference path, every access
+through ``_access_block`` (both machines guarantee this; see their
+``run`` docstrings), so recorded runs are slower but statistically
+identical to bare ones.  A
 machine with *no* recorder attached pays nothing at all.
 
 One sampling caveat, inherent to observing through the access stream:

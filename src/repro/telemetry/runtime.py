@@ -54,7 +54,7 @@ class TelemetrySession:
         sink: an explicit event sink; overrides ``directory``'s JSONL.
         instrument_machines: whether :meth:`attach` installs machine
             recorders.  When False the session records spans and
-            campaign metrics only, leaving machines on their packed
+            campaign metrics only, leaving machines on their kernel
             fast paths.
     """
 

@@ -50,7 +50,7 @@ class TestFaultInjection:
         case = generate_case(0, "uniform")
         failure = run_case(case, **bugs.engine_overrides("packed-skew"))
         assert failure is not None
-        assert failure.stage == "packed-diff"
+        assert failure.stage == "kernel-diff"
         assert "read_hits" in failure.detail
 
     def test_snoop_dropped_invalidation_caught(self):

@@ -1,16 +1,19 @@
-"""Tests for classification tracing and block explanation."""
+"""Classification tracing through the telemetry recorder.
 
-import pytest
+A :class:`~repro.telemetry.recorder.DirectoryRecorder` attached to a
+directory machine answers the debugging questions a protocol architect
+asks — "when did this block get promoted?", "why did the conservative
+protocol classify it later?" — from its coherence and classification
+records, and :mod:`repro.telemetry.timeline` renders one block's story.
+"""
 
 from repro.common.config import CacheConfig, MachineConfig
 from repro.common.types import read, write
 from repro.directory.entry import DirState
 from repro.directory.policy import BASIC, CONSERVATIVE
-from repro.directory.tracing import (
-    TracingDirectoryProtocol,
-    explain_block,
-    trace_classification,
-)
+from repro.system.machine import DirectoryMachine
+from repro.telemetry.recorder import attach_recorder
+from repro.telemetry.timeline import build_timelines
 from repro.trace.core import Trace
 
 
@@ -27,41 +30,53 @@ MIGRATION = Trace([
 ])
 
 
+def trace_classification(trace, policy):
+    """Replay ``trace`` with a recorder attached; ``(machine, records)``."""
+    machine = DirectoryMachine(config(), policy)
+    recorder = attach_recorder(machine)
+    machine.run(trace)
+    return machine, recorder.records
+
+
+def events(records, block, kind):
+    return [r for r in records if r["type"] == kind and r["block"] == block]
+
+
 class TestTracingProtocol:
     def test_behaves_identically_to_untraced(self):
-        from repro.system.machine import DirectoryMachine
-
         plain = DirectoryMachine(config(), BASIC)
         plain.run(MIGRATION)
-        traced_machine, _tracer = trace_classification(
-            MIGRATION, BASIC, config()
-        )
+        traced_machine, _records = trace_classification(MIGRATION, BASIC)
         assert traced_machine.stats.snapshot() == plain.stats.snapshot()
+        assert traced_machine.cache_stats == plain.cache_stats
 
     def test_events_recorded_in_order(self):
-        _machine, tracer = trace_classification(MIGRATION, BASIC, config())
-        events = tracer.events_for(0)
-        kinds = [e.kind for e in events]
+        _machine, records = trace_classification(MIGRATION, BASIC)
+        steps = events(records, 0, "coherence")
         # P3's write is silent (the block migrated in with write
         # permission), so it never reaches the directory.
-        assert kinds == ["write_miss", "read_miss", "write_hit", "read_miss"]
-        assert [e.index for e in events] == sorted(e.index for e in events)
+        assert [e["kind"] for e in steps] == [
+            "write_miss", "read_miss", "upgrade", "read_miss"]
+        assert [e["step"] for e in steps] == sorted(e["step"] for e in steps)
 
     def test_promotion_flagged(self):
-        _machine, tracer = trace_classification(MIGRATION, BASIC, config())
-        promotions = [e for e in tracer.events_for(0) if e.promoted]
+        _machine, records = trace_classification(MIGRATION, BASIC)
+        changes = events(records, 0, "classification")
+        promotions = [e for e in changes if e["transition"] == "promote"]
         assert len(promotions) == 1
         event = promotions[0]
-        assert event.kind == "write_hit" and event.proc == 2
-        assert event.after is DirState.ONE_COPY_MIG
+        assert event["proc"] == 2
+        assert event["to"] == DirState.ONE_COPY_MIG.value
+        upgrade = next(e for e in events(records, 0, "coherence")
+                       if e["step"] == event["step"])
+        assert upgrade["kind"] == "upgrade"
 
     def test_conservative_promotes_later(self):
-        _machine, tracer = trace_classification(
-            MIGRATION, CONSERVATIVE, config()
-        )
-        promotions = [e for e in tracer.events_for(0) if e.promoted]
+        _machine, records = trace_classification(MIGRATION, CONSERVATIVE)
+        promotions = [e for e in events(records, 0, "classification")
+                      if e["transition"] == "promote"]
         assert len(promotions) == 1
-        assert promotions[0].proc == 3  # second evidence event
+        assert promotions[0]["proc"] == 3  # second evidence event
 
     def test_demotion_flagged(self):
         trace = Trace([
@@ -69,28 +84,35 @@ class TestTracingProtocol:
             read(3, 0),  # migrate to P3 (clean)
             read(1, 0),  # clean migratory: demote
         ])
-        _machine, tracer = trace_classification(trace, BASIC, config())
-        demotions = [e for e in tracer.events_for(0) if e.demoted]
+        _machine, records = trace_classification(trace, BASIC)
+        demotions = [e for e in events(records, 0, "classification")
+                     if e["transition"] == "demote"]
         assert len(demotions) == 1
-        assert demotions[0].kind == "read_miss"
+        step = next(e for e in events(records, 0, "coherence")
+                    if e["step"] == demotions[0]["step"])
+        assert step["kind"] == "read_miss"
 
     def test_blocks_isolated(self):
         trace = Trace([write(1, 0), write(2, 64)])
-        _machine, tracer = trace_classification(trace, BASIC, config())
-        assert len(tracer.events_for(0)) == 1
-        assert len(tracer.events_for(4)) == 1
+        _machine, records = trace_classification(trace, BASIC)
+        assert len(events(records, 0, "coherence")) == 1
+        assert len(events(records, 4, "coherence")) == 1
 
 
 class TestExplainBlock:
     def test_untouched_block(self):
-        tracer = TracingDirectoryProtocol(BASIC)
-        lines = explain_block(tracer, 99)
-        assert "never touched" in lines[0]
+        _machine, records = trace_classification(MIGRATION, BASIC)
+        assert not [r for r in records if r["block"] == 99]
+        assert ("directory[basic]", 99) not in build_timelines(records)
 
     def test_story_lines(self):
-        _machine, tracer = trace_classification(MIGRATION, BASIC, config())
-        lines = explain_block(tracer, 0)
-        text = "\n".join(lines)
-        assert "classified migratory" in text
-        assert "1 promotion(s), 0 demotion(s)" in text
-        assert "final state one copy/migratory" in text
+        _machine, records = trace_classification(MIGRATION, BASIC)
+        timeline = build_timelines(records)[("directory[basic]", 0)]
+        (promote,) = [e for e in events(records, 0, "classification")
+                      if e["transition"] == "promote"]
+        assert timeline.promotions == [promote["step"]]
+        assert timeline.demotions == []
+        assert timeline.final_migratory
+        assert timeline.describe() == (
+            f"block 0x0 [directory[basic]]: migratory from step "
+            f"{promote['step']}")

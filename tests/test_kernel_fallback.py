@@ -1,11 +1,13 @@
 """Kernel fallback accounting (``repro_kernel_fallback_total``).
 
-Every ``try_replay`` gate that routes a replay back to the legacy
-packed loop must say *why*: the module counter
+Every kernel envelope gate that routes a replay back to the reference
+path must say *why*: the module counter
 (:data:`repro.kernels.registry.fallbacks`) keyed ``(engine, reason)``,
 the ambient telemetry counter labelled the same way, and a DEBUG log
-line.  An engaged kernel replay must count nothing — fallbacks measure
-envelope gaps, not traffic.
+line.  Batch replay and the streaming backend check one envelope per
+engine, so they name every fallback the same way.  An engaged kernel
+replay must count nothing — fallbacks measure envelope gaps, not
+traffic.
 """
 
 import logging
@@ -15,10 +17,15 @@ import pytest
 from repro.common.config import CacheConfig, MachineConfig
 from repro.common.types import Access, Op
 from repro.directory.policy import BASIC
+from repro.directory.representation import LimitedPointerDirectory
 from repro.kernels import registry
+from repro.kernels.streaming import replay_stream
+from repro.protocols import registry as families
 from repro.snooping.machine import BusMachine
 from repro.snooping.protocols import MesiProtocol
 from repro.system.machine import DirectoryMachine
+from repro.system.placement import RoundRobinPlacement
+from repro.trace import synth
 from repro.trace.core import Trace
 
 NUM_PROCS = 4
@@ -168,6 +175,176 @@ class TestReasons:
         assert registry.fallbacks
         registry.clear()
         assert not registry.fallbacks
+
+
+def _finite_config(**kwargs) -> MachineConfig:
+    """4 blocks of cache: an 8-block trace has conflict sets."""
+    return MachineConfig(
+        num_procs=NUM_PROCS,
+        cache=CacheConfig(size_bytes=64, block_size=16,
+                          replacement=kwargs.pop("replacement", "lru")),
+        **kwargs,
+    )
+
+
+def _ran(machine):
+    machine.run(_trace())
+    return machine
+
+
+class _AdHocPlacement(RoundRobinPlacement):
+    pass
+
+
+class _Subclass(DirectoryMachine):
+    pass
+
+
+def _hook(machine, proc, block):
+    pass
+
+
+#: ``(id, make_machine, trace_blocks, batch reason, stream reason)``.
+#: The stream reason differs only where the stream adds its one gate of
+#: its own, ``finite-cache``.
+PARITY_CASES = [
+    ("directory-not-fresh", lambda: _ran(DirectoryMachine(_config(), BASIC)),
+     2, "not-fresh", "not-fresh"),
+    ("bus-not-fresh", lambda: _ran(BusMachine(_config(), MesiProtocol())),
+     2, "not-fresh", "not-fresh"),
+    ("placement", lambda: DirectoryMachine(
+        _config(), BASIC, placement=_AdHocPlacement(NUM_PROCS)),
+     2, "placement", "placement"),
+    ("representation", lambda: DirectoryMachine(
+        _config(), BASIC, representation=LimitedPointerDirectory(2)),
+     2, "representation", "representation"),
+    ("directory-step-hook", lambda: DirectoryMachine(
+        _config(), BASIC, step_hook=_hook), 2, "step-hook", "step-hook"),
+    ("bus-step-hook", lambda: BusMachine(
+        _config(), MesiProtocol(), step_hook=_hook),
+     2, "step-hook", "step-hook"),
+    ("directory-checker", lambda: DirectoryMachine(
+        _config(), BASIC, check=True), 2, "checker", "checker"),
+    ("bus-checker", lambda: BusMachine(
+        _config(), MesiProtocol(), check=True), 2, "checker", "checker"),
+    ("machine-subclass", lambda: _Subclass(_config(), BASIC),
+     2, "machine-subclass", "machine-subclass"),
+    ("directory-replacement-random", lambda: DirectoryMachine(
+        _finite_config(replacement="random"), BASIC),
+     8, "replacement-random", "finite-cache"),
+    ("bus-replacement-random", lambda: BusMachine(
+        _finite_config(replacement="random"), MesiProtocol()),
+     8, "replacement-random", "finite-cache"),
+    ("eviction-silent", lambda: DirectoryMachine(
+        _finite_config(eviction_notification=False), BASIC),
+     8, "eviction-silent", "finite-cache"),
+] + [
+    (f"bus-{fam.name}",
+     lambda fam=fam: BusMachine(_config(), fam.make_protocol()),
+     2, fam.fallback_reason, fam.fallback_reason)
+    for fam in families.bus_families() if not fam.kernelable
+] + [
+    (f"directory-{fam.name}",
+     lambda fam=fam: fam.machine_class()(_config(), fam.policy),
+     2, fam.fallback_reason, fam.fallback_reason)
+    for fam in families.directory_families() if not fam.kernelable
+]
+
+
+class TestBatchStreamParity:
+    """Batch and stream record the same reason under their own labels."""
+
+    @pytest.mark.parametrize(
+        "make,blocks,batch_reason,stream_reason",
+        [case[1:] for case in PARITY_CASES],
+        ids=[case[0] for case in PARITY_CASES],
+    )
+    def test_same_reason(self, make, blocks, batch_reason, stream_reason):
+        packed = _trace(blocks=blocks).pack()
+        machine = make()
+        engine = "directory" if hasattr(machine, "placement") else "bus"
+        registry.fallbacks.clear()
+        machine.run(packed)
+        assert dict(registry.fallbacks) == {(engine, batch_reason): 1}
+
+        machine = make()
+        registry.fallbacks.clear()
+        replay_stream(machine, packed, chunk=16)
+        # The refused stream replays through machine.run, which names
+        # the batch reason in turn.
+        expected = {(f"{engine}-stream", stream_reason): 1,
+                    (engine, batch_reason): 1}
+        assert dict(registry.fallbacks) == expected
+
+    @pytest.mark.parametrize("engine", ["directory", "bus"])
+    def test_disabled(self, engine):
+        make = {"directory": lambda: DirectoryMachine(_config(), BASIC),
+                "bus": lambda: BusMachine(_config(), MesiProtocol())}[engine]
+        packed = _trace().pack()
+        with registry.disabled():
+            make().run(packed)
+            replay_stream(make(), packed, chunk=16)
+        assert dict(registry.fallbacks) == {
+            (engine, "disabled"): 2, (f"{engine}-stream", "disabled"): 1}
+
+
+class TestWalkAbort:
+    """A walk that aborts mid-replay is named ``walk-abort`` under the
+    replaying engine's label — batch and stream alike — and the replay
+    completes on the reference path with identical results."""
+
+    @staticmethod
+    def _trace():
+        return synth.migratory(num_procs=8, num_objects=24, visits=6,
+                               seed=11).pack()
+
+    @pytest.mark.parametrize("engine", ["directory", "bus"])
+    def test_node_limit(self, engine):
+        packed = self._trace()
+        if engine == "directory":
+            make = lambda: DirectoryMachine(_config(8), BASIC)  # noqa: E731
+            table = lambda: registry.dir_table(BASIC, 8)  # noqa: E731
+            stats = lambda m: (m.stats, m.cache_stats)  # noqa: E731
+        else:
+            make = lambda: BusMachine(_config(8), MesiProtocol())  # noqa: E731
+            table = lambda: registry.bus_table(MesiProtocol(), 8)  # noqa: E731
+            stats = lambda m: (m.bus_stats, m.cache_stats)  # noqa: E731
+        with registry.disabled():
+            reference = make()
+            reference.run(packed)
+        registry.clear()
+        table().node_limit = 4
+        try:
+            machine = make()
+            replay_stream(machine, packed, chunk=64)
+            recorded = dict(registry.fallbacks)
+        finally:
+            registry.clear()  # drop the capped table
+        assert recorded == {
+            (f"{engine}-stream", "walk-abort"): 1, (engine, "walk-abort"): 1}
+        assert stats(machine) == stats(reference)
+
+    @pytest.mark.parametrize("engine", ["directory", "bus"])
+    def test_key_error(self, engine, monkeypatch):
+        from repro.kernels import directory, snooping
+
+        def missing_row(*args):
+            raise KeyError("unprobed combination")
+
+        kernel = directory if engine == "directory" else snooping
+        monkeypatch.setattr(kernel, "_expand", missing_row)
+        registry.clear()
+        try:
+            machine = (DirectoryMachine(_config(), BASIC)
+                       if engine == "directory"
+                       else BusMachine(_config(), MesiProtocol()))
+            replay_stream(machine, _trace().pack(), chunk=16)
+            recorded = dict(registry.fallbacks)
+        finally:
+            registry.clear()  # drop the half-grown tables
+        assert recorded == {
+            (f"{engine}-stream", "walk-abort"): 1, (engine, "walk-abort"): 1}
+        assert machine.cache_stats.accesses == len(_trace())
 
 
 class TestSweepEnvelope:

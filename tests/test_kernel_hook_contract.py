@@ -2,10 +2,10 @@
 
 Mirrors ``tests/test_step_hook_contract.py`` for the kernel replays of
 :mod:`repro.kernels`: a hook installed *before* ``run`` keeps both
-machines off the kernel (and off the packed loop) entirely, while a
-hook that sneaks in mid-replay — after the kernel has already summed
-the whole trace — must fail loudly on both machines, with an error
-naming the kernel path.
+machines off the kernel entirely (the reference path calls it at every
+step), while a hook that sneaks in mid-replay — after the kernel has
+already summed the whole trace — must fail loudly on both machines,
+with a "mid-replay" error naming the kernel path.
 """
 
 import pytest
@@ -85,31 +85,17 @@ class TestMidReplayInstallRejected:
         # The kernel requires the exactly-shipped placement type, so the
         # hook is smuggled in through the class, not a subclass.
         monkeypatch.setattr(RoundRobinPlacement, "home", sneaky_home)
-        with pytest.raises(ProtocolError, match="table-driven kernel"):
+        with pytest.raises(ProtocolError,
+                           match="mid-replay on the table-driven kernel"):
             machine.run(_trace())
 
     def test_bus_kernel_raises(self):
         machine = BusMachine(_config(), MesiProtocol())
         trace = _SneakyTrace(list(_trace()), name="kernel-hook-contract")
         trace.machine = machine
-        with pytest.raises(ProtocolError, match="table-driven kernel"):
+        with pytest.raises(ProtocolError,
+                           match="mid-replay on the table-driven kernel"):
             machine.run(trace)
-
-    def test_both_errors_match_the_packed_contract(self, monkeypatch):
-        # The legacy packed loop advertises the same condition with
-        # "mid-replay"; the kernel message must keep matching it so
-        # callers can catch either path uniformly.
-        machine = DirectoryMachine(_config(), BASIC)
-        original = RoundRobinPlacement.home
-
-        def sneaky_home(self, page, accessor):
-            if machine.step_hook is None:
-                machine.step_hook = lambda m, p, b: None
-            return original(self, page, accessor)
-
-        monkeypatch.setattr(RoundRobinPlacement, "home", sneaky_home)
-        with pytest.raises(ProtocolError, match="mid-replay"):
-            machine.run(_trace())
 
 
 class TestPreInstalledHookBypassesKernel:

@@ -5,7 +5,7 @@ Three contracts are pinned here:
 * **Chunk-boundary equivalence** — feeding a trace in segments of any
   size (including segments that split a block's accesses arbitrarily)
   produces stats and final machine state identical to the batch kernel
-  and to the legacy packed loop.  Integer delta merges are
+  and to the reference path.  Integer delta merges are
   order-independent, so this must hold exactly, not approximately.
 * **O(chunk) memory** — a replay fed from a segment generator never
   materialises the whole trace: peak allocation during the feed phase
@@ -13,9 +13,9 @@ Three contracts are pinned here:
   outnumber blocks (per-block walk state is the machine's own floor
   and is excluded from the claim).
 * **Envelope honesty** — ineligible machines raise from the
-  constructor without touching the machine, and the
-  :func:`replay_stream` convenience converts that into a counted
-  fallback onto ``machine.run`` with identical results.
+  constructor without touching the machine, counting the fallback,
+  and the :func:`replay_stream` convenience then replays through
+  ``machine.run`` with identical results.
 """
 
 import tracemalloc

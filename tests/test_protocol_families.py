@@ -11,7 +11,7 @@ Four contracts are pinned here:
   *zero* invalidation transactions anywhere.
 * **Kernel equivalence** — the self-invalidation family runs inside
   the table-driven kernel envelope (batch and streaming), with stats
-  and final cache state identical to the legacy packed loop.
+  and final cache state identical to the reference path.
 * **Named fallbacks** — families outside the envelope fall back with
   the registry-declared ``family-unkerneled`` reason, never silently:
   a sweep across every registered family leaves no unexplained

@@ -1,10 +1,12 @@
 """The symmetric ``step_hook`` contract on both machines.
 
-A hook installed before ``run`` forces the generic per-access path (on
-both machines) and observes every protocol-visible step while leaving
-every statistic bit-identical to the packed replay.  A hook that
-appears *mid-replay* on the packed path missed earlier steps, so the
-replay must fail loudly instead of returning partial observations.
+A hook installed before ``run`` keeps both machines on the reference
+path (every access through ``_access_block``) and observes every
+protocol-visible step while leaving every statistic bit-identical to
+the kernel replay.  The reference path calls a hook at every step, so
+one that appears *mid-replay* there observes every later step, as on
+the per-access path; the kernel path's rejection of a mid-replay hook
+is covered by ``tests/test_kernel_hook_contract.py``.
 """
 
 import pytest
@@ -41,7 +43,7 @@ def _config() -> MachineConfig:
 
 
 class TestHookForcesGenericPath:
-    """With a hook, both machines take the per-access path, fire the
+    """With a hook, both machines take the reference path, fire the
     hook on every protocol-visible step, and keep identical stats."""
 
     def test_directory(self):
@@ -80,12 +82,13 @@ class TestHookForcesGenericPath:
 class _HookInstallingPlacement:
     """Placement that sneaks a hook onto the machine during a replay."""
 
-    def __init__(self):
+    def __init__(self, hook=None):
         self.machine = None
+        self.hook = hook or (lambda m, p, b: None)
 
     def home(self, page: int, accessor: int) -> int:
         if self.machine.step_hook is None:
-            self.machine.step_hook = lambda m, p, b: None
+            self.machine.step_hook = self.hook
         return 0
 
 
@@ -101,24 +104,41 @@ class _HookInstallingProtocol(MesiProtocol):
         return super().read_miss_fill(caches, proc, block)
 
 
-class TestMidReplayInstallRejected:
-    def test_directory_packed_path_raises(self):
-        placement = _HookInstallingPlacement()
+class TestMidReplayInstallOnReferencePath:
+    """Components outside the kernel envelope (an ad-hoc placement or
+    protocol) keep the replay on the reference path, which hands a
+    mid-replay hook every later step."""
+
+    def test_directory_hook_observes_later_steps(self):
+        seen = []
+        placement = _HookInstallingPlacement(
+            lambda m, p, b: seen.append((p, b)))
         machine = DirectoryMachine(_config(), BASIC, placement=placement)
         placement.machine = machine
-        with pytest.raises(ProtocolError, match="mid-replay"):
-            machine.run(_trace())
+        machine.run(_trace())
+        stats = machine.cache_stats
+        # The hook arrives inside the first miss, after that step's
+        # placement lookup, and sees that step and every later one.
+        assert seen and len(seen) == (stats.read_misses
+                                      + stats.write_misses
+                                      + stats.upgrades)
 
-    def test_bus_packed_path_raises(self):
+    def test_bus_hook_observes_later_steps(self):
         protocol = _HookInstallingProtocol()
         machine = BusMachine(_config(), protocol)
         protocol.machine = machine
-        with pytest.raises(ProtocolError, match="mid-replay"):
-            machine.run(_trace())
+        machine.run(_trace())
+        assert machine.step_hook is not None
+        reference = BusMachine(_config(), MesiProtocol())
+        reference.run(_trace())
+        assert machine.cache_stats == reference.cache_stats
+        assert machine.bus_stats.by_kind == reference.bus_stats.by_kind
 
+
+class TestMidReplayInstallRejected:
     def test_generic_path_tolerates_mid_replay_install(self):
-        # On the per-access path there is no packed fast-path contract
-        # to violate: iterating plain accesses never consults pack().
+        # Iterating plain accesses never consults pack(), so the kernel
+        # never runs and there is no summed replay for the hook to miss.
         placement = _HookInstallingPlacement()
         machine = DirectoryMachine(_config(), BASIC, placement=placement)
         placement.machine = machine

@@ -91,7 +91,7 @@ class TestSession:
         runtime.configure(sess)
         machine, trace = _tiny_machine()
         assert runtime.attach(machine) is None
-        assert machine.step_hook is None  # packed fast path stays open
+        assert machine.step_hook is None  # kernel fast path stays open
         machine.run(trace)
         assert sess.sink.records == []
 
