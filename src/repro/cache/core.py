@@ -99,10 +99,10 @@ class SetAssociativeCache(Cache):
         self._config = config
         self._num_sets = config.num_sets
         self._ways = config.associativity
-        # Each set maps block -> CacheLine in recency order (oldest first).
-        self._sets: list[OrderedDict[int, CacheLine]] = [
-            OrderedDict() for _ in range(self._num_sets)
-        ]
+        # Set index -> (block -> CacheLine in recency order, oldest
+        # first).  A set is built on its first insert, so a machine pays
+        # only for the sets its trace touches.
+        self._sets: dict[int, OrderedDict[int, CacheLine]] = {}
         self._policy = config.replacement
         self._rng = rng or random.Random(0)
         self._size = 0
@@ -112,29 +112,22 @@ class SetAssociativeCache(Cache):
         """The geometry this cache was built with."""
         return self._config
 
-    def _set_of(self, block: int) -> OrderedDict[int, CacheLine]:
-        return self._sets[block % self._num_sets]
-
-    def hot_sets(self) -> tuple[list[OrderedDict[int, CacheLine]], int, bool]:
-        """Raw ``(sets, num_sets, is_lru)`` for machine replay fast loops.
-
-        The machines bind these to locals and index/``move_to_end`` the
-        per-set mappings directly, skipping two method calls per hit.
-        """
-        return self._sets, self._num_sets, self._policy == "lru"
-
     def lookup(self, block: int) -> CacheLine | None:
-        return self._sets[block % self._num_sets].get(block)
+        cache_set = self._sets.get(block % self._num_sets)
+        return None if cache_set is None else cache_set.get(block)
 
     def touch(self, block: int) -> None:
         if self._policy == "lru":
-            cache_set = self._sets[block % self._num_sets]
-            if block in cache_set:
+            cache_set = self._sets.get(block % self._num_sets)
+            if cache_set is not None and block in cache_set:
                 cache_set.move_to_end(block)
 
     def insert(self, block: int, state: Any, dirty: bool = False) -> CacheLine | None:
-        cache_set = self._sets[block % self._num_sets]
-        if block in cache_set:
+        index = block % self._num_sets
+        cache_set = self._sets.get(index)
+        if cache_set is None:
+            cache_set = self._sets[index] = OrderedDict()
+        elif block in cache_set:
             line = cache_set[block]
             line.state = state
             line.dirty = dirty
@@ -158,15 +151,18 @@ class SetAssociativeCache(Cache):
         return next(iter(cache_set.values()))
 
     def remove(self, block: int) -> CacheLine | None:
-        cache_set = self._sets[block % self._num_sets]
+        cache_set = self._sets.get(block % self._num_sets)
+        if cache_set is None:
+            return None
         line = cache_set.pop(block, None)
         if line is not None:
             self._size -= 1
         return line
 
     def resident_blocks(self) -> Iterator[int]:
-        for cache_set in self._sets:
-            yield from cache_set
+        sets = self._sets
+        for index in sorted(sets):
+            yield from sets[index]
 
     def __len__(self) -> int:
         return self._size
@@ -180,10 +176,6 @@ class InfiniteCache(Cache):
     def __init__(self, config: CacheConfig | None = None):
         self._config = config
         self._lines: dict[int, CacheLine] = {}
-
-    def hot_lines(self) -> dict[int, CacheLine]:
-        """Raw block -> line mapping for machine replay fast loops."""
-        return self._lines
 
     def lookup(self, block: int) -> CacheLine | None:
         return self._lines.get(block)

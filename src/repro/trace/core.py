@@ -33,21 +33,49 @@ from repro.trace.packed import PackedTrace
 class Trace:
     """An in-memory access trace with simple summary helpers."""
 
-    __slots__ = ("name", "_accesses", "_packed", "__weakref__")
+    __slots__ = ("_name", "_accesses", "_packed", "_owns_packed",
+                 "__weakref__")
 
     def __init__(self, accesses: Iterable[Access] = (), name: str = "trace"):
-        self.name = name
+        self._name = name
         self._accesses: list[Access] | None = list(accesses)
         self._packed: PackedTrace | None = None
+        self._owns_packed = False
 
     @classmethod
     def from_packed(cls, packed: PackedTrace, name: str | None = None) -> "Trace":
         """Wrap a packed trace without materialising ``Access`` objects."""
         trace = cls.__new__(cls)
-        trace.name = name or packed.name
+        trace._name = name or packed.name
         trace._accesses = None
         trace._packed = packed
+        trace._owns_packed = False
         return trace
+
+    @classmethod
+    def adopt(cls, packed: PackedTrace) -> "Trace":
+        """Wrap ``packed`` as the trace's own packed form.
+
+        The trace owns ``packed`` as it owns the form :meth:`pack`
+        builds: unlike with :meth:`from_packed`, renaming the trace
+        renames ``packed`` too, so a producer that fills the columns
+        and names the trace afterwards saves and caches them under
+        that name.
+        """
+        trace = cls.from_packed(packed)
+        trace._owns_packed = True
+        return trace
+
+    @property
+    def name(self) -> str:
+        """The trace label; its own packed form carries the same name."""
+        return self._name
+
+    @name.setter
+    def name(self, value: str) -> None:
+        self._name = value
+        if self._owns_packed:
+            self._packed.name = value
 
     # ------------------------------------------------------------------
     # Representation management
@@ -69,8 +97,9 @@ class Trace:
         """
         packed = self._packed
         if packed is None:
-            packed = PackedTrace.from_accesses(self._accesses, name=self.name)
+            packed = PackedTrace.from_accesses(self._accesses, name=self._name)
             self._packed = packed
+            self._owns_packed = True
         return packed
 
     def iter_packed(self) -> Iterator[tuple[int, int, int]]:
@@ -81,11 +110,13 @@ class Trace:
         """Add one access to the end of the trace."""
         self._materialize().append(access)
         self._packed = None
+        self._owns_packed = False
 
     def extend(self, accesses: Iterable[Access]) -> None:
         """Add many accesses to the end of the trace."""
         self._materialize().extend(accesses)
         self._packed = None
+        self._owns_packed = False
 
     def __iter__(self) -> Iterator[Access]:
         return iter(self._materialize())

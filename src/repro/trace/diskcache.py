@@ -15,9 +15,16 @@ Layout and knobs:
   ``$XDG_CACHE_HOME/repro/traces``, else ``~/.cache/repro/traces``.
 * ``REPRO_TRACE_CACHE=off`` (or ``0``) disables the cache entirely.
 * Files are named ``<app>-<sha256-prefix>.ptrace`` where the hash covers
-  the build parameters plus :data:`CACHE_VERSION`; bump the version
-  whenever the workload generators change behaviour to invalidate every
-  stale entry at once.
+  the build parameters plus :data:`CACHE_VERSION`.
+
+When to bump :data:`CACHE_VERSION`: whenever a change to the workload
+engine, an application generator, or the packed file format changes a
+single byte of some trace or of its ``.ptrace`` file (the trace name
+in the header included) — bumping invalidates every stale entry at
+once.  ``tests/test_workload_traces.py`` pins the digests, file hashes
+and reloaded names of a grid of builds, so such a change fails there
+first.  A change that keeps those bytes (a faster engine, say) keeps
+the version: old cache files stay valid.
 
 Writes go through a temporary file and an atomic rename, so concurrent
 worker processes racing to populate the same key are safe — the losers
@@ -37,7 +44,7 @@ from repro.trace.packed import PackedTrace
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.trace.core import Trace
 
-#: Bump when workload generators change so cached traces are regenerated.
+#: Bump when a trace's bytes change (see the module docstring).
 CACHE_VERSION = 1
 
 _DISABLE_VALUES = {"off", "0", "no", "false", "disable", "disabled"}

@@ -4,7 +4,8 @@ Simulated parallel programs are written as Python generators that yield
 *effects*: shared-memory reads/writes, lock acquire/release, and barriers.
 The engine interleaves the per-processor threads deterministically (seeded
 random quanta), implements the synchronization, and records the
-shared-data references into a :class:`repro.trace.Trace`.
+shared-data references into the packed columns of a
+:class:`repro.trace.Trace`.
 
 Following the paper's methodology, synchronization operations themselves
 are *not* recorded in the trace ("the traces ... exclude accesses to
@@ -33,12 +34,13 @@ Example::
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass
 from typing import Generator, Iterable
 
 from repro.common.errors import DeadlockError, WorkloadError
-from repro.common.types import Access, Op
 from repro.trace.core import Trace
+from repro.trace.packed import PackedTrace
 
 
 @dataclass(frozen=True, slots=True)
@@ -94,6 +96,19 @@ Effect = (
 )
 Program = Generator[Effect, None, None]
 
+_EFFECT_TYPES = frozenset(
+    (ReadEffect, WriteEffect, Acquire, Release, BarrierWait, LocalCompute)
+)
+
+
+def _effect_type(effect) -> type:
+    """The effect class ``effect`` dispatches as (subclasses included)."""
+    for kind in (ReadEffect, WriteEffect, Acquire, Release, BarrierWait,
+                 LocalCompute):
+        if isinstance(effect, kind):
+            return kind
+    raise WorkloadError(f"unknown effect: {effect!r}")
+
 
 class Heap:
     """A bump allocator for laying out simulated shared data."""
@@ -134,7 +149,16 @@ class _Thread:
 
 
 class Engine:
-    """Deterministic round-robin interleaver for simulated threads."""
+    """Deterministic round-robin interleaver for simulated threads.
+
+    The scheduler keeps its ``live`` and ``runnable`` thread lists
+    between steps and rebuilds them (in spawn order, exactly as a
+    per-step rebuild would) only after a step that can change them: a
+    thread blocked, unblocked or finished, or a lock some thread waits
+    on changed hands.  Accesses go straight into packed columns, so the
+    returned :class:`~repro.trace.core.Trace` holds no ``Access``
+    objects until a consumer iterates it.
+    """
 
     def __init__(self, num_procs: int, seed: int = 0, max_quantum: int = 8):
         if num_procs <= 0:
@@ -146,6 +170,10 @@ class Engine:
         self._max_quantum = max_quantum
         self._threads: list[_Thread] = []
         self._locks: dict[str, _Thread | None] = {}
+        # lock -> number of threads blocked acquiring it.
+        self._waiters: dict[str, int] = {}
+        # The (procs, ops, addrs) columns the current run() fills.
+        self._columns: tuple[array, array, array] | None = None
 
     def spawn(self, proc: int, gen: Program) -> None:
         """Register a thread on processor ``proc``."""
@@ -155,22 +183,28 @@ class Engine:
 
     def run(self) -> Trace:
         """Interleave all threads to completion; returns the trace."""
-        trace = Trace(name="engine")
-        live = [t for t in self._threads if not t.done]
-        while live:
-            runnable = [t for t in live if self._can_run(t)]
-            if not runnable:
-                self._check_barriers(live)
+        self._columns = (array("q"), array("b"), array("q"))
+        choice = self._rng.choice
+        step = self._step
+        threads = self._threads
+        runnable: list[_Thread] = []
+        changed = True
+        while True:
+            if changed:
+                live = [t for t in threads if not t.done]
+                if not live:
+                    break
                 runnable = [t for t in live if self._can_run(t)]
                 if not runnable:
-                    raise DeadlockError(
-                        f"{len(live)} threads blocked: "
-                        f"{[str(t.blocked_on) for t in live[:4]]}"
-                    )
-            thread = self._rng.choice(runnable)
-            self._step(thread, trace)
-            live = [t for t in self._threads if not t.done]
-        return trace
+                    self._check_barriers(live)
+                    runnable = [t for t in live if self._can_run(t)]
+                    if not runnable:
+                        raise DeadlockError(
+                            f"{len(live)} threads blocked: "
+                            f"{[str(t.blocked_on) for t in live[:4]]}"
+                        )
+            changed = step(choice(runnable))
+        return Trace.adopt(PackedTrace(*self._columns, name="engine"))
 
     def _can_run(self, thread: _Thread) -> bool:
         effect = thread.blocked_on
@@ -178,10 +212,8 @@ class Engine:
             return True
         if isinstance(effect, Acquire):
             return self._locks.get(effect.lock) is None
-        if isinstance(effect, BarrierWait):
-            # Barriers release all waiters at once in _check_barriers.
-            return False
-        raise WorkloadError(f"unexpected blocking effect: {effect!r}")
+        # Barriers release all waiters at once in _check_barriers.
+        return False
 
     def _check_barriers(self, live: list[_Thread]) -> None:
         """Release a barrier once every live thread is waiting on it.
@@ -205,59 +237,84 @@ class Engine:
                 for t in blocked_here:
                     t.blocked_on = None
 
-    def _step(self, thread: _Thread, trace: Trace) -> None:
-        # Complete a pending acquire, if any.
-        if isinstance(thread.blocked_on, Acquire):
+    def _step(self, thread: _Thread) -> bool:
+        """Run one quantum of ``thread``.
+
+        Returns True when the step may have changed which threads are
+        live or runnable, so the scheduler must rebuild its lists.
+        """
+        locks = self._locks
+        waiters = self._waiters
+        changed = False
+        # Complete a pending acquire, if any (a runnable thread can only
+        # be blocked on an Acquire whose lock is free).
+        if thread.blocked_on is not None:
             lock = thread.blocked_on.lock
-            self._locks[lock] = thread
+            locks[lock] = thread
             thread.held.add(lock)
             thread.blocked_on = None
+            waiters[lock] -= 1
+            changed = True
+        proc = thread.proc
+        gen = thread.gen
+        procs, ops, addrs = self._columns
+        procs_append = procs.append
+        ops_append = ops.append
+        addrs_append = addrs.append
         quantum = self._rng.randint(1, self._max_quantum)
         for _ in range(quantum):
             try:
-                effect = next(thread.gen)
+                effect = next(gen)
             except StopIteration:
                 thread.done = True
                 if thread.held:
                     raise WorkloadError(
-                        f"thread on P{thread.proc} exited holding "
+                        f"thread on P{proc} exited holding "
                         f"locks {sorted(thread.held)}"
                     ) from None
-                return
-            if isinstance(effect, ReadEffect):
-                trace.append(Access(thread.proc, Op.READ, effect.addr))
-            elif isinstance(effect, WriteEffect):
-                trace.append(Access(thread.proc, Op.WRITE, effect.addr))
-            elif isinstance(effect, Acquire):
-                holder = self._locks.get(effect.lock)
+                return True
+            kind = type(effect)
+            if kind not in _EFFECT_TYPES:
+                kind = _effect_type(effect)
+            if kind is ReadEffect or kind is WriteEffect:
+                procs_append(proc)
+                ops_append(kind is WriteEffect)
+                addrs_append(effect.addr)
+            elif kind is Acquire:
+                lock = effect.lock
+                holder = locks.get(lock)
                 if holder is thread:
                     raise WorkloadError(
-                        f"P{thread.proc} re-acquired lock {effect.lock!r}"
+                        f"P{proc} re-acquired lock {lock!r}"
                     )
                 if holder is None:
-                    self._locks[effect.lock] = thread
-                    thread.held.add(effect.lock)
+                    locks[lock] = thread
+                    thread.held.add(lock)
+                    if waiters.get(lock):
+                        changed = True
                 else:
                     thread.blocked_on = effect
-                    return
-            elif isinstance(effect, Release):
-                if self._locks.get(effect.lock) is not thread:
+                    waiters[lock] = waiters.get(lock, 0) + 1
+                    return True
+            elif kind is Release:
+                lock = effect.lock
+                if locks.get(lock) is not thread:
                     raise WorkloadError(
-                        f"P{thread.proc} released lock {effect.lock!r} "
+                        f"P{proc} released lock {lock!r} "
                         "it does not hold"
                     )
-                self._locks[effect.lock] = None
-                thread.held.discard(effect.lock)
-            elif isinstance(effect, BarrierWait):
+                locks[lock] = None
+                thread.held.discard(lock)
+                if waiters.get(lock):
+                    changed = True
+            elif kind is BarrierWait:
                 thread.blocked_on = effect
-                return
-            elif isinstance(effect, LocalCompute):
-                # Consume the rest of the quantum proportionally to the
-                # declared work; nothing is traced.
-                if effect.units >= quantum:
-                    return
-            else:
-                raise WorkloadError(f"unknown effect: {effect!r}")
+                return True
+            # LocalCompute consumes the rest of the quantum proportionally
+            # to the declared work; nothing is traced.
+            elif effect.units >= quantum:
+                return changed
+        return changed
 
 
 def run_program(

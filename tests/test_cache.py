@@ -1,10 +1,14 @@
 """Unit tests for the cache models."""
 
 import random
+from collections import OrderedDict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cache.core import (
+    CacheLine,
     InfiniteCache,
     SetAssociativeCache,
     make_cache,
@@ -102,6 +106,97 @@ class TestSetAssociativeCache:
         for b in range(0, 20, 2):  # all map to set 0
             c.insert(b, "S")
         assert len(c) == 2
+
+
+class EagerCache:
+    """Every set built up front, as a list indexed by set number."""
+
+    def __init__(self, config, rng):
+        self.num_sets = config.num_sets
+        self.ways = config.associativity
+        self.policy = config.replacement
+        self.rng = rng
+        self.sets = [OrderedDict() for _ in range(self.num_sets)]
+
+    def lookup(self, block):
+        return self.sets[block % self.num_sets].get(block)
+
+    def touch(self, block):
+        cache_set = self.sets[block % self.num_sets]
+        if self.policy == "lru" and block in cache_set:
+            cache_set.move_to_end(block)
+
+    def insert(self, block, state):
+        cache_set = self.sets[block % self.num_sets]
+        if block in cache_set:
+            cache_set[block].state = state
+            self.touch(block)
+            return None
+        victim = None
+        if len(cache_set) >= self.ways:
+            if self.policy == "random":
+                victim = cache_set[self.rng.choice(list(cache_set))]
+            else:
+                victim = next(iter(cache_set.values()))
+            del cache_set[victim.block]
+        cache_set[block] = CacheLine(block, state)
+        return victim
+
+    def remove(self, block):
+        return self.sets[block % self.num_sets].pop(block, None)
+
+    def resident_blocks(self):
+        for cache_set in self.sets:
+            yield from cache_set
+
+
+class TestLazySets:
+    def test_absent_sets_are_not_built(self):
+        c = SetAssociativeCache(CacheConfig())
+        for block in range(0, 50_000, 7):
+            assert c.lookup(block) is None
+            c.touch(block)
+            assert c.remove(block) is None
+            assert block not in c
+        assert c._sets == {}
+        assert list(c.resident_blocks()) == [] and len(c) == 0
+
+    def test_fill_builds_only_the_touched_sets(self):
+        c = SetAssociativeCache(CacheConfig())  # 1024 sets
+        for block in (3, 1027, 5):
+            c.insert(block, "S")
+        assert sorted(c._sets) == [3, 5]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        policy=st.sampled_from(["lru", "fifo", "random"]),
+        seed=st.integers(0, 2**16),
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(["insert", "touch", "remove", "lookup"]),
+                st.integers(0, 40),
+            ),
+            max_size=120,
+        ),
+    )
+    def test_matches_eager_sets(self, policy, seed, ops):
+        config = CacheConfig(
+            size_bytes=128, block_size=16, associativity=2, replacement=policy
+        )
+        lazy = SetAssociativeCache(config, random.Random(seed))
+        eager = EagerCache(config, random.Random(seed))
+        for op, block in ops:
+            if op == "insert":
+                got, want = lazy.insert(block, "S"), eager.insert(block, "S")
+            elif op == "touch":
+                got, want = lazy.touch(block), eager.touch(block)
+            elif op == "remove":
+                got, want = lazy.remove(block), eager.remove(block)
+            else:
+                got, want = lazy.lookup(block), eager.lookup(block)
+            assert (got and got.block) == (want and want.block)
+            assert list(lazy.resident_blocks()) == list(eager.resident_blocks())
+        assert len(lazy) == sum(len(s) for s in eager.sets)
 
 
 class TestInfiniteCache:

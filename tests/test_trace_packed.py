@@ -80,6 +80,22 @@ class TestTracePacking:
         assert list(trace) == ACCESSES
         assert trace.num_procs == 3
 
+    def test_renaming_renames_only_an_owned_packed_form(self):
+        built = Trace(ACCESSES, "t")
+        built.pack()
+        built.name = "renamed"
+        assert built.pack().name == "renamed"
+
+        packed = PackedTrace.from_accesses(ACCESSES, "t")
+        adopted = Trace.adopt(packed)
+        adopted.name = "adopted"
+        assert packed.name == "adopted"
+
+        shared = PackedTrace.from_accesses(ACCESSES, "shared")
+        view = Trace.from_packed(shared)
+        view.name = "view"
+        assert shared.name == "shared" and view.name == "view"
+
     def test_text_save_load_round_trip(self, tmp_path):
         trace = synth.migratory(num_procs=4, num_objects=2, visits=3, seed=9)
         path = tmp_path / "t.trace"
