@@ -6,7 +6,10 @@ answers replay, policy-comparison, and experiment-row queries online,
 with bounded admission (429 + ``Retry-After`` backpressure),
 single-flight coalescing keyed on the replay result cache's
 content-addressed keys, dispatch onto the session process pool, and a
-graceful SIGTERM drain.  :mod:`repro.service.client` provides sync and
+graceful SIGTERM drain; :mod:`repro.service.router` (``repro-cluster``)
+shards it behind a consistent-hash router.  Both tiers run on the one
+HTTP, admission and single-flight core of :mod:`repro.service.http`.
+:mod:`repro.service.client` provides sync and
 async clients; :mod:`repro.service.loadgen` drives the server with
 open- or closed-loop traffic and writes ``BENCH_service.json``.
 

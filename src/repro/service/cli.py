@@ -24,32 +24,12 @@ from __future__ import annotations
 import argparse
 import asyncio
 import os
-import signal
 import sys
 from pathlib import Path
 
 from repro.common.version import add_version_argument
 from repro.parallel import resolve_jobs
 from repro.service.server import CoherenceService, ServiceConfig
-
-
-async def _serve(config: ServiceConfig) -> CoherenceService:
-    service = CoherenceService(config)
-    await service.start()
-    print(
-        f"repro-serve: listening on http://{config.host}:{service.port} "
-        f"(queue={config.max_queue}, workers={service.workers})",
-        flush=True,
-    )
-    stop = asyncio.Event()
-    loop = asyncio.get_running_loop()
-    for signum in (signal.SIGTERM, signal.SIGINT):
-        try:
-            loop.add_signal_handler(signum, stop.set)
-        except (NotImplementedError, RuntimeError):  # pragma: no cover
-            pass  # non-Unix event loops: Ctrl-C still raises
-    await service.serve_until(stop)
-    return service
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -90,8 +70,12 @@ def main(argv: list[str] | None = None) -> int:
         host=args.host, port=args.port, max_queue=args.max_queue,
         jobs=args.jobs, telemetry_dir=args.telemetry_dir,
     )
+    service = CoherenceService(config)
     try:
-        service = asyncio.run(_serve(config))
+        asyncio.run(service.run(lambda: (
+            f"repro-serve: listening on http://{config.host}:{service.port} "
+            f"(queue={config.max_queue}, workers={service.workers})"
+        )))
     except KeyboardInterrupt:  # pragma: no cover - non-Unix fallback
         return 0
     print(f"repro-serve: drained after {service.served} request(s)",

@@ -25,6 +25,7 @@ import sys
 import time
 
 from repro.common.errors import ReproError
+from repro.service.http import request as http_request
 from repro.service.protocol import PROTOCOL_VERSION
 
 #: Default client-side timeout (seconds) for one request.
@@ -292,39 +293,14 @@ class AsyncServiceClient:
     async def request(self, method: str, path: str,
                       payload: dict | None = None
                       ) -> tuple[int, dict, object]:
-        body = b""
-        if payload is not None:
-            body = json.dumps(payload).encode()
-        head = [
-            f"{method} {path} HTTP/1.1",
-            f"Host: {self.host}:{self.port}",
-            "Connection: close",
-            f"Content-Length: {len(body)}",
-        ]
-        if payload is not None:
-            head.append("Content-Type: application/json")
-        reader, writer = await asyncio.open_connection(self.host, self.port)
-        try:
-            writer.write(("\r\n".join(head) + "\r\n\r\n").encode() + body)
-            await writer.drain()
-            raw = await asyncio.wait_for(reader.read(), self.timeout)
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-        header_blob, _, rest = raw.partition(b"\r\n\r\n")
-        lines = header_blob.decode("latin1").split("\r\n")
-        status = int(lines[0].split()[1])
-        headers = {}
-        for line in lines[1:]:
-            name, _, value = line.partition(":")
-            headers[name.strip().lower()] = value.strip()
-        decoded: object = rest.decode("utf-8", "replace")
-        if headers.get("content-type", "").startswith("application/json"):
-            decoded = json.loads(rest) if rest else {}
-        return status, headers, decoded
+        """One request; returns ``(status, headers, decoded body)``.
+
+        Raises ``ConnectionError`` when the server drops or garbles the
+        response (the shared :func:`repro.service.http.request`).
+        """
+        body = b"" if payload is None else json.dumps(payload).encode()
+        return await http_request(self.host, self.port, method, path, body,
+                                  self.timeout)
 
     async def healthz(self) -> dict:
         status, headers, payload = await self.request("GET", "/healthz")

@@ -31,34 +31,12 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import signal
 import sys
 from pathlib import Path
 
 from repro.common.version import add_version_argument
 from repro.parallel import resolve_jobs
 from repro.service.router import ClusterConfig, ClusterRouter
-
-
-async def _serve(config: ClusterConfig) -> ClusterRouter:
-    router = ClusterRouter(config)
-    await router.start()
-    print(
-        f"repro-cluster: routing http://{config.host}:{router.port} "
-        f"across {config.shards} shard(s) "
-        f"(queue={config.max_queue}/shard, replicas={config.replicas}, "
-        f"router-cache={config.router_cache})",
-        flush=True,
-    )
-    stop = asyncio.Event()
-    loop = asyncio.get_running_loop()
-    for signum in (signal.SIGTERM, signal.SIGINT):
-        try:
-            loop.add_signal_handler(signum, stop.set)
-        except (NotImplementedError, RuntimeError):  # pragma: no cover
-            pass  # non-Unix event loops: Ctrl-C still raises
-    await router.serve_until(stop)
-    return router
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -123,8 +101,14 @@ def main(argv: list[str] | None = None) -> int:
         hot_key_min=args.hot_key_min, hot_key_top=args.hot_key_top,
         cache_dir=args.result_cache, telemetry_dir=args.telemetry_dir,
     )
+    router = ClusterRouter(config)
     try:
-        router = asyncio.run(_serve(config))
+        asyncio.run(router.run(lambda: (
+            f"repro-cluster: routing http://{config.host}:{router.port} "
+            f"across {config.shards} shard(s) "
+            f"(queue={config.max_queue}/shard, replicas={config.replicas}, "
+            f"router-cache={config.router_cache})"
+        )))
     except KeyboardInterrupt:  # pragma: no cover - non-Unix fallback
         return 0
     print(f"repro-cluster: drained after {router.served} request(s)",

@@ -63,6 +63,10 @@ SNOOPING_PROTOCOLS = tuple(fam.name for fam in families.bus_families())
 #: Row-level experiments servable by name.
 EXPERIMENTS = ("table2", "table3", "bus")
 
+#: The query endpoints, one per request kind; both serving tiers admit
+#: exactly these (everything else a tier answers itself).
+QUERY_PATHS = ("/v1/replay", "/v1/compare", "/v1/experiment", "/v1/verify")
+
 #: Hard ceiling on a request's workload scale: the serving layer exists
 #: for interactive traffic, not hour-long batch sweeps.
 MAX_SCALE = 4.0

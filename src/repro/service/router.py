@@ -40,35 +40,33 @@ router's own registry via :func:`repro.telemetry.metrics.
 combine_prometheus_texts`, each sample relabeled ``shard="..."`` /
 ``shard="router"``.  ``GET /v1/cluster/status`` reports ring shares,
 per-shard health, cache-tier counters, and the current hot set.
+
+The listening side (framing, 404/405, admission, the single-flight
+bookkeeping) is the :mod:`repro.service.http` core the shard server
+runs too, and every forward, probe, and ``/metrics`` fetch goes out
+through its :func:`~repro.service.http.request`.
 """
 
 from __future__ import annotations
 
 import asyncio
 import hashlib
-import json
-import sys
-import time
-import traceback
+import heapq
 from dataclasses import dataclass
 from pathlib import Path
 from time import perf_counter
 
 from repro.experiments import resultcache
-from repro.service import protocol
+from repro.service import http, protocol
+from repro.service.http import HttpService, Reply, Request, Route, parse_json
 from repro.service.protocol import (
+    QUERY_PATHS,
     CompareRequest,
     ExperimentRequest,
     ServiceError,
     VerifyRequest,
 )
 from repro.service.ring import HashRing
-from repro.service.server import (
-    RETRY_AFTER_SECONDS,
-    _parse_json,
-    _read_request,
-    _write_response,
-)
 from repro.service.shards import ShardError, ShardHandle, ShardSupervisor
 from repro.telemetry.metrics import MetricsRegistry, combine_prometheus_texts
 
@@ -80,10 +78,6 @@ CACHE_METRIC = "repro_cluster_cache_total"
 FORWARDS_METRIC = "repro_cluster_forwards_total"
 SHARD_UP_METRIC = "repro_cluster_shard_up"
 RESTARTS_METRIC = "repro_cluster_restarts_total"
-
-#: The query endpoints the router routes (everything else it answers
-#: itself).
-QUERY_PATHS = ("/v1/replay", "/v1/compare", "/v1/experiment", "/v1/verify")
 
 #: Consecutive health-probe failures before a shard is declared dead.
 FAILURE_THRESHOLD = 2
@@ -179,18 +173,22 @@ class _Shard:
         return self.handle.port
 
 
-class NoShardAvailable(ServiceError):
-    """Every candidate shard refused or dropped the forward."""
-
-
-class ClusterRouter:
+class ClusterRouter(HttpService):
     """The sharded serving fleet's front door (see module docstring)."""
+
+    tier = "cluster"
+    requests_metric = REQUESTS_METRIC
+    requests_help = "cluster requests by endpoint and status"
+    singleflight_metric = SINGLEFLIGHT_METRIC
+    singleflight_help = ("cluster-wide request coalescing (leaders "
+                         "forward, followers wait)")
 
     def __init__(self, config: ClusterConfig):
         if config.shards < 1:
             raise ServiceError("cluster needs at least one shard")
         if config.replicas < 1:
             raise ServiceError("replicas must be at least 1")
+        super().__init__()
         self.config = config
         cache_dir = config.cache_dir
         if cache_dir is None:
@@ -204,39 +202,28 @@ class ClusterRouter:
         self._shards: dict[str, _Shard] = {}
         self._cache = (resultcache.MemoryLru(config.router_cache)
                        if config.router_cache > 0 else None)
-        self._inflight: dict[str, asyncio.Future] = {}
         self._key_counts: dict[str, int] = {}
+        self._keys_noted = 0
         self._hot: frozenset[str] = frozenset()
         self._rr: dict[str, int] = {}
-        self._server: asyncio.base_events.Server | None = None
-        self._draining = False
-        self._started_at = 0.0
-        self._admitted = 0
-        self._served = 0
-        self._idle = asyncio.Event()
-        self._idle.set()
-        self._connections: set[asyncio.StreamWriter] = set()
         self._health_task: asyncio.Task | None = None
         self._restart_lock = asyncio.Lock()
+        self.routes["/v1/cluster/status"] = Route("GET", self._serve_status)
+        self.routes["/v1/cluster/restart"] = Route("POST",
+                                                   self._serve_restart)
+        for path in QUERY_PATHS:
+            self.routes[path] = Route("POST", self._query, admitted=True)
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
 
     @property
-    def port(self) -> int:
-        """The router's bound port (meaningful after :meth:`start`)."""
-        assert self._server is not None, "router not started"
-        return self._server.sockets[0].getsockname()[1]
-
-    @property
-    def served(self) -> int:
-        """Requests answered 200 so far."""
-        return self._served
+    def admission_limit(self) -> int:
+        return self.config.max_queue * len(self._shards)
 
     async def start(self) -> None:
         """Spawn the fleet, populate the ring, bind the router socket."""
-        self._started_at = time.time()
         names = [f"shard-{index}" for index in range(self.config.shards)]
         handles = await asyncio.gather(
             *(self.supervisor.spawn(name) for name in names)
@@ -245,52 +232,39 @@ class ClusterRouter:
             self._shards[name] = _Shard(name, handle)
             self.ring.add(name)
             self._gauge_up(name, True)
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port
-        )
+        await super().start()
         self._health_task = asyncio.get_running_loop().create_task(
             self._health_loop()
         )
 
-    async def serve_until(self, stop: asyncio.Event) -> None:
-        """Serve until ``stop`` is set, then drain gracefully."""
-        if self._server is None:
-            await self.start()
-        await stop.wait()
-        await self.drain()
-
     async def drain(self) -> None:
         """Router drain: close the door, finish work, drain the fleet.
 
-        Shards drain **one at a time**: each is removed from the ring
-        (so the drain of shard k never affects traffic that would have
-        hit shard k+1 had the router still been accepting), waited to
-        zero router-tracked in-flight forwards, then SIGTERMed and
-        reaped through its own graceful drain.  Idempotent.
+        The health prober stops first, so no shard is revived mid-drain.
         """
-        if self._draining:
-            await self._idle.wait()
-            return
-        self._draining = True
         if self._health_task is not None:
             self._health_task.cancel()
             try:
                 await self._health_task
             except asyncio.CancelledError:
                 pass
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        await self._idle.wait()
+        await super().drain()
+
+    async def _teardown(self) -> None:
+        """Drain shards **one at a time**.
+
+        Each is removed from the ring (so the drain of shard k never
+        affects traffic that would have hit shard k+1 had the router
+        still been accepting), waited to zero router-tracked in-flight
+        forwards, then SIGTERMed and reaped through its own graceful
+        drain.
+        """
         for name in sorted(self._shards):
             shard = self._shards[name]
             self.ring.remove(name)
             await self._wait_shard_idle(shard)
             await self.supervisor.stop(shard.handle)
             self._gauge_up(name, False)
-        for writer in list(self._connections):
-            writer.close()
-        self._connections.clear()
         if self.config.telemetry_dir is not None:
             directory = Path(self.config.telemetry_dir)
             directory.mkdir(parents=True, exist_ok=True)
@@ -299,127 +273,14 @@ class ClusterRouter:
             )
 
     # ------------------------------------------------------------------
-    # Connection handling (same framing as the shard server)
-    # ------------------------------------------------------------------
-
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        self._connections.add(writer)
-        try:
-            while True:
-                try:
-                    request = await _read_request(reader)
-                except ServiceError as exc:
-                    body = json.dumps(
-                        protocol.error_response(str(exc))
-                    ).encode()
-                    await _write_response(writer, 400, body,
-                                          "application/json",
-                                          keep_alive=False)
-                    break
-                if request is None:
-                    break
-                keep_alive = await self._dispatch(request, writer)
-                if not keep_alive or self._draining:
-                    break
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass  # client went away mid-request
-        finally:
-            self._connections.discard(writer)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    async def _dispatch(self, request: tuple, writer) -> bool:
-        method, path, headers, body = request
-        keep_alive = headers.get("connection", "").lower() != "close"
-        if path == "/healthz":
-            if method != "GET":
-                return await self._respond_error(writer, path, 405,
-                                                 "use GET", keep_alive)
-            await self._respond_json(writer, path, 200, self._health(),
-                                     keep_alive and not self._draining)
-            return keep_alive and not self._draining
-        if path == "/metrics":
-            if method != "GET":
-                return await self._respond_error(writer, path, 405,
-                                                 "use GET", keep_alive)
-            text = await self._combined_metrics()
-            await _write_response(writer, 200, text.encode(),
-                                  "text/plain; version=0.0.4",
-                                  keep_alive=keep_alive)
-            self._count_request(path, 200)
-            return keep_alive
-        if path == "/v1/cluster/status":
-            if method != "GET":
-                return await self._respond_error(writer, path, 405,
-                                                 "use GET", keep_alive)
-            await self._respond_json(
-                writer, path, 200,
-                protocol.cluster_status_response(self._status()),
-                keep_alive,
-            )
-            return keep_alive
-        if path == "/v1/cluster/restart":
-            if method != "POST":
-                return await self._respond_error(writer, path, 405,
-                                                 "use POST", keep_alive)
-            return await self._serve_restart(writer, path, keep_alive)
-        if path in QUERY_PATHS:
-            if method != "POST":
-                return await self._respond_error(writer, path, 405,
-                                                 "use POST", keep_alive)
-            return await self._serve_query(path, body, writer, keep_alive)
-        return await self._respond_error(writer, path, 404,
-                                         f"no such endpoint: {path}",
-                                         keep_alive)
-
-    # ------------------------------------------------------------------
     # Query pipeline: validate -> cache -> single-flight -> forward
     # ------------------------------------------------------------------
 
-    async def _serve_query(self, path: str, body: bytes, writer,
-                           keep_alive: bool) -> bool:
-        if self._draining:
-            return await self._respond_error(
-                writer, path, 503, "cluster is draining", keep_alive=False
-            )
-        if self._admitted >= self.config.max_queue * len(self._shards):
-            return await self._respond_error(
-                writer, path, 429,
-                "cluster admission queue full; retry later", keep_alive,
-                extra_headers=(f"Retry-After: {RETRY_AFTER_SECONDS}",),
-            )
-        self._admitted += 1
-        self._idle.clear()
-        try:
-            payload = _parse_json(body)
-            key = routing_key(path, payload)
-            status, response, extra = await self._answer(path, key, body)
-        except ServiceError as exc:
-            return await self._respond_error(writer, path, 400, str(exc),
-                                             keep_alive)
-        except Exception:
-            traceback.print_exc(file=sys.stderr)
-            return await self._respond_error(
-                writer, path, 500, "internal error (see router log)",
-                keep_alive,
-            )
-        else:
-            if status == 200:
-                self._served += 1
-            await self._respond_json(writer, path, status, response,
-                                     keep_alive, extra_headers=extra)
-            return keep_alive
-        finally:
-            self._admitted -= 1
-            if self._admitted == 0:
-                self._idle.set()
+    async def _query(self, request: Request) -> Reply:
+        key = routing_key(request.path, parse_json(request.body))
+        return await self._answer(request.path, key, request.body)
 
-    async def _answer(self, path: str, key: str, body: bytes
-                      ) -> tuple[int, dict, tuple[str, ...]]:
+    async def _answer(self, path: str, key: str, body: bytes) -> Reply:
         """One routed query; returns ``(status, payload, extra_headers)``."""
         self._note_key(key)
         if self._cache is not None:
@@ -428,34 +289,23 @@ class ClusterRouter:
             if hit is not None:
                 return 200, {**hit, "cached": True, "tier": "router"}, ()
 
-        existing = self._inflight.get(key)
+        existing = self._flights.join(key)
         if existing is not None:
             # Cluster-wide single-flight: share the leader's outcome
             # (including its error, if it got one) without a second
             # shard execution anywhere in the fleet.
-            self._count_singleflight("follower")
             status, payload, extra = await existing
             if status == 200:
                 payload = {**payload, "coalesced": True}
             return status, payload, extra
 
-        future = asyncio.get_running_loop().create_future()
-        self._inflight[key] = future
-        self._count_singleflight("leader")
-        try:
-            outcome = await self._forward_query(path, key, body)
-        except BaseException as exc:
-            future.set_exception(exc)
-            future.exception()  # mark retrieved; followers still read it
-            raise
-        else:
-            future.set_result(outcome)
-            status, payload, _extra = outcome
-            if status == 200 and self._cache is not None:
-                self._cache.put(key, payload)
-            return outcome
-        finally:
-            self._inflight.pop(key, None)
+        outcome = await self._flights.lead(
+            key, lambda: self._forward_query(path, key, body)
+        )
+        status, payload, _extra = outcome
+        if status == 200 and self._cache is not None:
+            self._cache.put(key, payload)
+        return outcome
 
     async def _forward_query(self, path: str, key: str, body: bytes
                              ) -> tuple[int, dict, tuple[str, ...]]:
@@ -474,8 +324,8 @@ class ClusterRouter:
                 ), ()
             shard.inflight += 1
             try:
-                status, headers, payload = await self._shard_request(
-                    shard.port, "POST", path, body
+                status, headers, payload = await http.request(
+                    self.config.host, shard.port, "POST", path, body
                 )
             except (ConnectionError, OSError, asyncio.TimeoutError):
                 tried.add(shard.name)
@@ -535,19 +385,18 @@ class ClusterRouter:
     def _note_key(self, key: str) -> None:
         counts = self._key_counts
         counts[key] = counts.get(key, 0) + 1
-        if sum(counts.values()) % _HOT_REFRESH_EVERY == 0:
+        self._keys_noted += 1
+        if self._keys_noted % _HOT_REFRESH_EVERY == 0:
             self._refresh_hot()
 
     def _refresh_hot(self) -> None:
         floor = self.config.hot_key_min
-        ranked = sorted(
+        ranked = heapq.nlargest(
+            self.config.hot_key_top,
             ((count, key) for key, count in self._key_counts.items()
              if count >= floor),
-            reverse=True,
         )
-        self._hot = frozenset(
-            key for _, key in ranked[: self.config.hot_key_top]
-        )
+        self._hot = frozenset(key for _, key in ranked)
 
     # ------------------------------------------------------------------
     # Shard health, death, and restart
@@ -564,10 +413,9 @@ class ClusterRouter:
                     self._shard_failed(shard, immediately=True)
                     continue
                 try:
-                    status, _, _ = await asyncio.wait_for(
-                        self._shard_request(shard.port, "GET", "/healthz",
-                                            b""),
-                        2.0,
+                    status, _, _ = await http.request(
+                        self.config.host, shard.port, "GET", "/healthz",
+                        timeout=2.0,
                     )
                 except (ConnectionError, OSError, asyncio.TimeoutError):
                     self._shard_failed(shard)
@@ -596,6 +444,11 @@ class ClusterRouter:
         except ShardError:
             shard.restarting = False
             return  # next health tick retries via _shard_failed
+        self._rejoin(shard, handle)
+
+    def _rejoin(self, shard: _Shard, handle: ShardHandle) -> None:
+        """A respawned shard is healthy again and (unless the router is
+        draining) back in the ring."""
         shard.handle = handle
         shard.failures = 0
         shard.restarts += 1
@@ -612,23 +465,15 @@ class ClusterRouter:
         while shard.inflight > 0:
             await asyncio.sleep(0.01)
 
-    async def _serve_restart(self, writer, path: str, keep_alive: bool
-                             ) -> bool:
+    async def _serve_restart(self, request: Request) -> Reply:
         if self._draining:
-            return await self._respond_error(
-                writer, path, 503, "cluster is draining", keep_alive=False
-            )
+            return 503, protocol.error_response("cluster is draining"), ()
         started = perf_counter()
         async with self._restart_lock:
             report = await self._rolling_restart()
-        await self._respond_json(
-            writer, path, 200,
-            protocol.cluster_restart_response(
-                report, (perf_counter() - started) * 1000.0
-            ),
-            keep_alive,
-        )
-        return keep_alive
+        return 200, protocol.cluster_restart_response(
+            report, (perf_counter() - started) * 1000.0
+        ), ()
 
     async def _rolling_restart(self) -> list[dict]:
         """Restart every shard, one at a time, with zero lost requests.
@@ -656,16 +501,7 @@ class ClusterRouter:
                 report.append({"shard": name, "ok": False,
                                "error": str(exc)})
                 continue
-            shard.handle = handle
-            shard.failures = 0
-            shard.restarts += 1
-            shard.healthy = True
-            shard.restarting = False
-            self.ring.add(name)
-            self._gauge_up(name, True)
-            self.registry.counter(
-                RESTARTS_METRIC, "shard restarts by the router"
-            ).inc(shard=name)
+            self._rejoin(shard, handle)
             report.append({
                 "shard": name, "ok": True,
                 "elapsed_ms": round((perf_counter() - started) * 1000.0, 3),
@@ -673,59 +509,19 @@ class ClusterRouter:
         return report
 
     # ------------------------------------------------------------------
-    # Shard HTTP plumbing
+    # Introspection and metrics plumbing
     # ------------------------------------------------------------------
 
-    async def _shard_request(self, port: int, method: str, path: str,
-                             body: bytes
-                             ) -> tuple[int, dict, object]:
-        """One request to one shard; returns (status, headers, payload)."""
-        head = [
-            f"{method} {path} HTTP/1.1",
-            f"Host: {self.config.host}:{port}",
-            "Connection: close",
-            f"Content-Length: {len(body)}",
-        ]
-        if body:
-            head.append("Content-Type: application/json")
-        reader, writer = await asyncio.open_connection(
-            self.config.host, port
-        )
-        try:
-            writer.write(("\r\n".join(head) + "\r\n\r\n").encode() + body)
-            await writer.drain()
-            raw = await reader.read(-1)
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-        header_blob, _, rest = raw.partition(b"\r\n\r\n")
-        lines = header_blob.decode("latin1").split("\r\n")
-        try:
-            status = int(lines[0].split()[1])
-        except (IndexError, ValueError):
-            raise ConnectionError("malformed shard response") from None
-        headers: dict[str, str] = {}
-        for line in lines[1:]:
-            name, _, value = line.partition(":")
-            headers[name.strip().lower()] = value.strip()
-        payload: object = rest.decode("utf-8", "replace")
-        if headers.get("content-type", "").startswith("application/json"):
-            payload = json.loads(rest) if rest else {}
-        return status, headers, payload
-
-    async def _combined_metrics(self) -> str:
+    async def _metrics_text(self) -> str:
         """Every live shard's exposition + the router's, relabeled."""
         shards = [shard for shard in self._shards.values()
                   if shard.healthy and not shard.restarting]
 
         async def fetch(shard: _Shard) -> tuple[str, str]:
             try:
-                status, _, text = await asyncio.wait_for(
-                    self._shard_request(shard.port, "GET", "/metrics", b""),
-                    5.0,
+                status, _, text = await http.request(
+                    self.config.host, shard.port, "GET", "/metrics",
+                    timeout=5.0,
                 )
             except (ConnectionError, OSError, asyncio.TimeoutError):
                 return shard.name, ""
@@ -735,24 +531,12 @@ class ClusterRouter:
         parts.append(("router", self.registry.render_prometheus()))
         return combine_prometheus_texts(parts)
 
-    # ------------------------------------------------------------------
-    # Introspection and metrics plumbing
-    # ------------------------------------------------------------------
+    def _health_fields(self) -> dict:
+        return {"role": "cluster-router", "shards": len(self._shards),
+                "ring_size": len(self.ring)}
 
-    def _health(self) -> dict:
-        from repro.common.version import package_version
-
-        return {
-            "status": "draining" if self._draining else "ok",
-            "version": package_version(),
-            "protocol_version": protocol.PROTOCOL_VERSION,
-            "role": "cluster-router",
-            "shards": len(self._shards),
-            "ring_size": len(self.ring),
-            "queue_depth": self._admitted,
-            "served": self._served,
-            "uptime_s": round(time.time() - self._started_at, 3),
-        }
+    async def _serve_status(self, request: Request) -> Reply:
+        return 200, protocol.cluster_status_response(self._status()), ()
 
     def _status(self) -> dict:
         ranked = sorted(self._key_counts.items(), key=lambda kv: -kv[1])
@@ -782,18 +566,6 @@ class ClusterRouter:
             "served": self._served,
         }
 
-    def _count_request(self, endpoint: str, status: int) -> None:
-        self.registry.counter(
-            REQUESTS_METRIC, "cluster requests by endpoint and status"
-        ).inc(endpoint=endpoint, status=status)
-
-    def _count_singleflight(self, role: str) -> None:
-        self.registry.counter(
-            SINGLEFLIGHT_METRIC,
-            "cluster-wide request coalescing (leaders forward, "
-            "followers wait)",
-        ).inc(role=role)
-
     def _count_cache(self, tier: str, status: str) -> None:
         self.registry.counter(
             CACHE_METRIC, "router-tier result cache lookups"
@@ -808,36 +580,3 @@ class ClusterRouter:
         self.registry.gauge(
             SHARD_UP_METRIC, "1 while the shard is in the ring"
         ).set(1 if up else 0, shard=shard)
-
-    async def _respond_json(self, writer, endpoint: str, status: int,
-                            payload: dict, keep_alive: bool,
-                            extra_headers: tuple[str, ...] = ()) -> None:
-        body = json.dumps(payload, separators=(",", ":")).encode()
-        await _write_response(writer, status, body, "application/json",
-                              keep_alive=keep_alive,
-                              extra_headers=extra_headers)
-        self._count_request(endpoint, status)
-
-    async def _respond_error(self, writer, endpoint: str, status: int,
-                             message: str, keep_alive: bool,
-                             extra_headers: tuple[str, ...] = ()) -> bool:
-        body = json.dumps(protocol.error_response(message)).encode()
-        keep = keep_alive and status not in (503,)
-        await _write_response(writer, status, body, "application/json",
-                              keep_alive=keep,
-                              extra_headers=extra_headers)
-        self._count_request(endpoint, status)
-        return keep
-
-
-async def serve(config: ClusterConfig, *, ready=None,
-                stop: asyncio.Event | None = None) -> ClusterRouter:
-    """Start a cluster, optionally report readiness, serve until
-    ``stop`` (required), drain, and return the drained router."""
-    router = ClusterRouter(config)
-    await router.start()
-    if ready is not None:
-        ready(router)
-    assert stop is not None, "serve() needs a stop event"
-    await router.serve_until(stop)
-    return router

@@ -1,6 +1,8 @@
 """The asyncio HTTP/JSON coherence-simulation server.
 
-One :class:`CoherenceService` owns four pieces of machinery:
+One :class:`CoherenceService` — a tier on the front door, admission
+gate, and single-flight primitive of :mod:`repro.service.http` — owns
+four pieces of machinery:
 
 * **Admission control** — at most ``max_queue`` requests are in flight
   at once; the next one is answered ``429 Too Many Requests`` with a
@@ -26,7 +28,7 @@ One :class:`CoherenceService` owns four pieces of machinery:
 
 ``GET /healthz`` and ``GET /metrics`` are never admission-controlled;
 metrics render the server's telemetry registry in Prometheus text
-format.  On SIGTERM/SIGINT (wired by ``repro-serve``) the server stops
+format.  On SIGTERM/SIGINT (``repro-serve``) the server stops
 accepting connections, finishes every admitted request, then exits —
 the graceful-drain contract the load generator exercises.
 """
@@ -34,10 +36,6 @@ the graceful-drain contract the load generator exercises.
 from __future__ import annotations
 
 import asyncio
-import json
-import sys
-import time
-import traceback
 from dataclasses import dataclass
 from pathlib import Path
 from time import perf_counter
@@ -47,7 +45,9 @@ from concurrent.futures.process import BrokenProcessPool
 from repro.experiments import common, resultcache
 from repro.parallel import effective_workers, get_pool, shutdown_pool
 from repro.service import protocol, worker
+from repro.service.http import HttpService, Reply, Request, Route, parse_json
 from repro.service.protocol import (
+    QUERY_PATHS,
     CompareRequest,
     ExperimentRequest,
     ReplaySpec,
@@ -63,20 +63,6 @@ REQUESTS_METRIC = "repro_service_requests_total"
 QUEUE_DEPTH_METRIC = "repro_service_queue_depth"
 SINGLEFLIGHT_METRIC = "repro_service_singleflight_total"
 EXECUTIONS_METRIC = "repro_service_executions_total"
-
-#: Upper bound on request bodies; service requests are a few hundred
-#: bytes, so anything near this is a client bug, not a workload.
-MAX_BODY_BYTES = 1 << 20
-
-#: Seconds a 429'd client is told to wait before retrying.
-RETRY_AFTER_SECONDS = 1
-
-_REASONS = {
-    200: "OK", 400: "Bad Request", 404: "Not Found",
-    405: "Method Not Allowed", 413: "Payload Too Large",
-    429: "Too Many Requests", 500: "Internal Server Error",
-    503: "Service Unavailable",
-}
 
 _DECODERS = {
     "directory": resultcache.decode_message_stats,
@@ -108,38 +94,34 @@ class ServiceConfig:
     telemetry_dir: str | Path | None = None
 
 
-class CoherenceService:
+class CoherenceService(HttpService):
     """The serving state machine (see module docstring)."""
+
+    tier = "server"
+    requests_metric = REQUESTS_METRIC
+    requests_help = "service requests by endpoint and status"
+    singleflight_metric = SINGLEFLIGHT_METRIC
+    singleflight_help = ("request coalescing (leaders execute, "
+                         "followers wait)")
+    depth_metric = QUEUE_DEPTH_METRIC
 
     def __init__(self, config: ServiceConfig,
                  session: telemetry.TelemetrySession | None = None):
+        super().__init__()
         self.config = config
         # A huge item count: the clamp logic should only consider CPUs.
         self.workers = effective_workers(config.jobs, 1 << 30)
         self._session = session
         self._owns_session = session is None
         self._previous_session: telemetry.TelemetrySession | None = None
-        self._server: asyncio.base_events.Server | None = None
-        self._draining = False
-        self._started_at = 0.0
-        self._admitted = 0
-        self._served = 0
-        self._idle = asyncio.Event()
-        self._idle.set()
-        self._inflight: dict[str, asyncio.Future] = {}
         self._trace_locks: dict[tuple, asyncio.Lock] = {}
         self._traces: dict[tuple, tuple[str, shm.TraceHandle | None]] = {}
-        self._connections: set[asyncio.StreamWriter] = set()
+        for path in QUERY_PATHS:
+            self.routes[path] = Route("POST", self._query, admitted=True)
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-
-    @property
-    def port(self) -> int:
-        """The bound port (meaningful after :meth:`start`)."""
-        assert self._server is not None, "service not started"
-        return self._server.sockets[0].getsockname()[1]
 
     @property
     def registry(self):
@@ -147,12 +129,11 @@ class CoherenceService:
         return self._session.registry
 
     @property
-    def served(self) -> int:
-        """Requests answered 200 so far."""
-        return self._served
+    def admission_limit(self) -> int:
+        return self.config.max_queue
 
     async def start(self) -> None:
-        """Bind the listening socket and install the telemetry session."""
+        """Install the telemetry session and bind the listening socket."""
         if self._session is None:
             # instrument_machines=False: the server wants request-level
             # observability, not per-step machine events — and an
@@ -161,35 +142,10 @@ class CoherenceService:
                 self.config.telemetry_dir, instrument_machines=False
             )
         self._previous_session = telemetry.configure(self._session)
-        self._started_at = time.time()
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port
-        )
+        await super().start()
 
-    async def serve_until(self, stop: asyncio.Event) -> None:
-        """Serve until ``stop`` is set, then drain gracefully."""
-        if self._server is None:
-            await self.start()
-        await stop.wait()
-        await self.drain()
-
-    async def drain(self) -> None:
-        """Stop accepting, finish every admitted request, close down.
-
-        Idempotent.  The drain order is the graceful-shutdown contract:
-        the listening socket closes first (new connections are refused),
-        admitted requests run to completion and get their responses,
-        then idle keep-alive connections are closed and the telemetry
-        session is flushed.
-        """
-        if self._draining:
-            await self._idle.wait()
-            return
-        self._draining = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        await self._idle.wait()
+    async def _teardown(self) -> None:
+        """Reap the pool, then flush the telemetry session."""
         if self.workers > 1:
             # Graceful pool teardown *after* the last admitted request:
             # a job still executing in a worker (a straggler the loop
@@ -203,121 +159,18 @@ class CoherenceService:
             await asyncio.get_running_loop().run_in_executor(
                 None, lambda: shutdown_pool(wait=True)
             )
-        for writer in list(self._connections):
-            writer.close()
-        self._connections.clear()
         telemetry.configure(self._previous_session)
         if self._owns_session and self._session is not None:
             self._session.close()
 
     # ------------------------------------------------------------------
-    # Connection handling
+    # Query dispatch
     # ------------------------------------------------------------------
 
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        self._connections.add(writer)
-        try:
-            while True:
-                try:
-                    request = await _read_request(reader)
-                except ServiceError as exc:
-                    body = json.dumps(
-                        protocol.error_response(str(exc))
-                    ).encode()
-                    await _write_response(writer, 400, body,
-                                          "application/json",
-                                          keep_alive=False)
-                    break
-                if request is None:
-                    break
-                keep_alive = await self._dispatch(request, writer)
-                if not keep_alive or self._draining:
-                    break
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass  # client went away mid-request
-        finally:
-            self._connections.discard(writer)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    async def _dispatch(self, request: tuple, writer) -> bool:
-        """Route one parsed request; returns whether to keep the
-        connection alive."""
-        method, path, headers, body = request
-        keep_alive = headers.get("connection", "").lower() != "close"
-        if path == "/healthz":
-            if method != "GET":
-                return await self._respond_error(writer, path, 405,
-                                                 "use GET", keep_alive)
-            await self._respond_json(writer, path, 200, self._health(),
-                                     keep_alive and not self._draining)
-            return keep_alive and not self._draining
-        if path == "/metrics":
-            if method != "GET":
-                return await self._respond_error(writer, path, 405,
-                                                 "use GET", keep_alive)
-            text = self.registry.render_prometheus()
-            await _write_response(writer, 200, text.encode(),
-                                  "text/plain; version=0.0.4",
-                                  keep_alive=keep_alive)
-            self._count_request(path, 200)
-            return keep_alive
-        if path in ("/v1/replay", "/v1/compare", "/v1/experiment",
-                    "/v1/verify"):
-            if method != "POST":
-                return await self._respond_error(writer, path, 405,
-                                                 "use POST", keep_alive)
-            return await self._serve_query(path, body, writer, keep_alive)
-        return await self._respond_error(writer, path, 404,
-                                         f"no such endpoint: {path}",
-                                         keep_alive)
-
-    async def _serve_query(self, path: str, body: bytes, writer,
-                           keep_alive: bool) -> bool:
-        if self._draining:
-            return await self._respond_error(
-                writer, path, 503, "server is draining", keep_alive=False
-            )
-        if self._admitted >= self.config.max_queue:
-            # Backpressure: shed at admission rather than queueing
-            # without bound.  The client is told when to come back.
-            return await self._respond_error(
-                writer, path, 429,
-                f"admission queue full ({self.config.max_queue} in "
-                "flight); retry later",
-                keep_alive,
-                extra_headers=(f"Retry-After: {RETRY_AFTER_SECONDS}",),
-            )
-        self._admitted += 1
-        self._idle.clear()
-        self._gauge_depth()
-        try:
-            payload = _parse_json(body)
-            with telemetry.span("service.request", endpoint=path):
-                response = await self._answer(path, payload)
-        except ServiceError as exc:
-            return await self._respond_error(writer, path, 400, str(exc),
-                                             keep_alive)
-        except Exception:
-            traceback.print_exc(file=sys.stderr)
-            return await self._respond_error(
-                writer, path, 500, "internal error (see server log)",
-                keep_alive,
-            )
-        else:
-            await self._respond_json(writer, path, 200, response,
-                                     keep_alive)
-            self._served += 1
-            return keep_alive
-        finally:
-            self._admitted -= 1
-            self._gauge_depth()
-            if self._admitted == 0:
-                self._idle.set()
+    async def _query(self, request: Request) -> Reply:
+        payload = parse_json(request.body)
+        with telemetry.span("service.request", endpoint=request.path):
+            return 200, await self._answer(request.path, payload), ()
 
     async def _answer(self, path: str, payload: dict) -> dict:
         if path == "/v1/replay":
@@ -432,9 +285,8 @@ class CoherenceService:
         body with picklable arguments — it may cross into a pool
         process); pure cache hits never register as leaders.
         """
-        existing = self._inflight.get(key)
+        existing = self._flights.join(key)
         if existing is not None:
-            self._count_singleflight("follower")
             return await existing, False, True
 
         use_cache = resultcache.enabled()
@@ -445,10 +297,7 @@ class CoherenceService:
                 return payload, True, False
             resultcache.record_lookup(kind, "miss")
 
-        future = asyncio.get_running_loop().create_future()
-        self._inflight[key] = future
-        self._count_singleflight("leader")
-        try:
+        async def execute() -> dict:
             with telemetry.span("service.execute", **span_meta):
                 payload = await self._execute(fn, *args)
             self.registry.counter(
@@ -457,15 +306,9 @@ class CoherenceService:
             if use_cache:
                 resultcache.store(key, payload)
                 resultcache.record_store()
-        except BaseException as exc:
-            future.set_exception(exc)
-            future.exception()  # mark retrieved; followers still read it
-            raise
-        else:
-            future.set_result(payload)
-            return payload, False, False
-        finally:
-            self._inflight.pop(key, None)
+            return payload
+
+        return await self._flights.lead(key, execute), False, False
 
     async def _execute(self, fn, *args):
         """Run ``fn(*args)`` off the event loop: on the session process
@@ -520,120 +363,8 @@ class CoherenceService:
             self._traces[key] = ready
             return ready
 
-    # ------------------------------------------------------------------
-    # Introspection and metrics plumbing
-    # ------------------------------------------------------------------
-
-    def _health(self) -> dict:
-        from repro.common.version import package_version
-
-        return {
-            "status": "draining" if self._draining else "ok",
-            "version": package_version(),
-            "protocol_version": protocol.PROTOCOL_VERSION,
-            "queue_depth": self._admitted,
-            "max_queue": self.config.max_queue,
-            "workers": self.workers,
-            "served": self._served,
-            "uptime_s": round(time.time() - self._started_at, 3),
-        }
-
-    def _count_request(self, endpoint: str, status: int) -> None:
-        self.registry.counter(
-            REQUESTS_METRIC, "service requests by endpoint and status"
-        ).inc(endpoint=endpoint, status=status)
-
-    def _count_singleflight(self, role: str) -> None:
-        self.registry.counter(
-            SINGLEFLIGHT_METRIC,
-            "request coalescing (leaders execute, followers wait)",
-        ).inc(role=role)
-
-    def _gauge_depth(self) -> None:
-        self.registry.gauge(
-            QUEUE_DEPTH_METRIC, "requests currently admitted"
-        ).set(self._admitted)
-
-    async def _respond_json(self, writer, endpoint: str, status: int,
-                            payload: dict, keep_alive: bool) -> None:
-        body = json.dumps(payload, separators=(",", ":")).encode()
-        await _write_response(writer, status, body, "application/json",
-                              keep_alive=keep_alive)
-        self._count_request(endpoint, status)
-
-    async def _respond_error(self, writer, endpoint: str, status: int,
-                             message: str, keep_alive: bool,
-                             extra_headers: tuple[str, ...] = ()) -> bool:
-        body = json.dumps(protocol.error_response(message)).encode()
-        keep = keep_alive and status not in (503,)
-        await _write_response(writer, status, body, "application/json",
-                              keep_alive=keep,
-                              extra_headers=extra_headers)
-        self._count_request(endpoint, status)
-        return keep
-
-
-# ----------------------------------------------------------------------
-# Minimal HTTP/1.1 framing (stdlib-only; the service speaks exactly the
-# subset its clients emit: one request, headers, optional JSON body)
-# ----------------------------------------------------------------------
-
-async def _read_request(reader: asyncio.StreamReader
-                        ) -> tuple[str, str, dict, bytes] | None:
-    """Read one request; None on a cleanly closed connection."""
-    try:
-        request_line = await reader.readline()
-    except (ConnectionError, asyncio.LimitOverrunError):
-        return None
-    if not request_line or request_line in (b"\r\n", b"\n"):
-        return None
-    try:
-        method, target, _version = request_line.decode("latin1").split()
-    except ValueError:
-        raise ServiceError("malformed request line") from None
-    headers: dict[str, str] = {}
-    while True:
-        line = await reader.readline()
-        if line in (b"\r\n", b"\n", b""):
-            break
-        name, _, value = line.decode("latin1").partition(":")
-        headers[name.strip().lower()] = value.strip()
-    length = int(headers.get("content-length", 0) or 0)
-    if length > MAX_BODY_BYTES:
-        raise ServiceError(f"request body over {MAX_BODY_BYTES} bytes")
-    body = await reader.readexactly(length) if length else b""
-    path = target.split("?", 1)[0]
-    return method.upper(), path, headers, body
-
-
-async def _write_response(writer: asyncio.StreamWriter, status: int,
-                          body: bytes, content_type: str,
-                          keep_alive: bool = True,
-                          extra_headers: tuple[str, ...] = ()) -> None:
-    head = [
-        f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}",
-        f"Content-Type: {content_type}",
-        f"Content-Length: {len(body)}",
-        f"Connection: {'keep-alive' if keep_alive else 'close'}",
-        *extra_headers,
-    ]
-    writer.write(("\r\n".join(head) + "\r\n\r\n").encode("latin1") + body)
-    try:
-        await writer.drain()
-    except (ConnectionError, OSError):
-        pass  # client disconnected before the response landed
-
-
-def _parse_json(body: bytes) -> dict:
-    if not body:
-        raise ServiceError("empty request body (expected JSON)")
-    try:
-        payload = json.loads(body)
-    except ValueError as exc:
-        raise ServiceError(f"invalid JSON body: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise ServiceError("request body must be a JSON object")
-    return payload
+    def _health_fields(self) -> dict:
+        return {"max_queue": self.config.max_queue, "workers": self.workers}
 
 
 def _result_total(engine: str, payload: dict) -> int:
@@ -643,15 +374,3 @@ def _result_total(engine: str, payload: dict) -> int:
         return stats.total
     return model1_cost(resultcache.decode_bus_stats(payload))
 
-
-async def serve(config: ServiceConfig, *, ready=None,
-                stop: asyncio.Event | None = None) -> CoherenceService:
-    """Start a service, optionally report readiness, serve until
-    ``stop`` (required), drain, and return the drained service."""
-    service = CoherenceService(config)
-    await service.start()
-    if ready is not None:
-        ready(service)
-    assert stop is not None, "serve() needs a stop event"
-    await service.serve_until(stop)
-    return service

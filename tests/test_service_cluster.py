@@ -13,13 +13,21 @@ single-flight, lossless rolling restart, graceful drain — live in
 step), not here.
 """
 
+import json
+
 import pytest
 
 from repro.experiments.resultcache import MemoryLru
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.loadgen import ManagedCluster
 from repro.service.protocol import ServiceError as ProtocolError
-from repro.service.router import QUERY_PATHS, routing_key
+from repro.service.router import (
+    QUERY_PATHS,
+    ClusterConfig,
+    ClusterRouter,
+    _Shard,
+    routing_key,
+)
 from repro.telemetry.metrics import combine_prometheus_texts
 
 SCALE = 0.02
@@ -149,6 +157,68 @@ class TestCombineMetrics:
         assert metric_value(samples, "repro_x", shard="shard-1") == 4
 
 
+class TestHotKeys:
+    """Hot-set accounting and shard picking, on a router whose fleet
+    is three never-spawned shards."""
+
+    @staticmethod
+    def router(tmp_path, **overrides) -> ClusterRouter:
+        router = ClusterRouter(ClusterConfig(shards=3, cache_dir=tmp_path,
+                                             **overrides))
+        for index in range(3):
+            name = f"shard-{index}"
+            router._shards[name] = _Shard(name, handle=None)
+            router.ring.add(name)
+        return router
+
+    def test_refresh_runs_every_stride_requests(self, tmp_path,
+                                                monkeypatch):
+        router = self.router(tmp_path)
+        refreshes = []
+        monkeypatch.setattr(router, "_refresh_hot",
+                            lambda: refreshes.append(len(refreshes)))
+        for index in range(100):
+            router._note_key(f"key-{index % 7}")
+        assert len(refreshes) == 100 // 32
+
+    def test_key_turns_hot_only_at_a_refresh(self, tmp_path):
+        router = self.router(tmp_path, hot_key_min=8)
+        for _ in range(31):
+            router._note_key("head")
+        assert router._hot == frozenset()  # 31 notes: no refresh yet
+        router._note_key("head")
+        assert router._hot == {"head"}
+
+    def test_count_floor(self, tmp_path):
+        router = self.router(tmp_path, hot_key_min=8)
+        router._key_counts = {"seven": 7, "eight": 8}
+        router._refresh_hot()
+        assert router._hot == {"eight"}
+
+    def test_top_k_cut(self, tmp_path):
+        router = self.router(tmp_path, hot_key_min=1, hot_key_top=2)
+        router._key_counts = {"a": 40, "b": 30, "c": 20, "d": 10}
+        router._refresh_hot()
+        assert router._hot == {"a", "b"}
+
+    def test_hot_key_round_robins_over_replicas(self, tmp_path):
+        router = self.router(tmp_path, replicas=2)
+        router._hot = frozenset({"hot"})
+        replicas = router.ring.preference("hot", 2)
+        picked = [router._pick("hot", set()).name for _ in range(4)]
+        assert picked == replicas * 2
+
+    def test_cold_key_and_single_replica_stick_to_the_ring(self, tmp_path):
+        router = self.router(tmp_path, replicas=2)
+        home = router.ring.route("cold")
+        assert {router._pick("cold", set()).name
+                for _ in range(4)} == {home}
+        solo = self.router(tmp_path, replicas=1)
+        solo._hot = frozenset({"hot"})
+        assert {solo._pick("hot", set()).name
+                for _ in range(4)} == {solo.ring.route("hot")}
+
+
 # ----------------------------------------------------------------------
 # Live fleet
 # ----------------------------------------------------------------------
@@ -222,3 +292,28 @@ class TestLiveCluster:
         status, _, payload = client.request("GET", "/v2/anything")
         assert status == 404
         assert payload["type"] == "error"
+
+    def test_wrong_method_405(self, client):
+        for method, path in (("GET", "/v1/replay"),
+                             ("POST", "/v1/cluster/status")):
+            status, _, payload = client.request(method, path)
+            assert status == 405, path
+            assert payload["type"] == "error"
+
+    def test_non_json_body_400(self, cluster, raw_http):
+        body = b"not json"
+        status, _, payload = raw_http(
+            cluster.port,
+            b"POST /v1/replay HTTP/1.1\r\nConnection: close\r\n"
+            b"Content-Length: %d\r\n\r\n%s" % (len(body), body),
+        )
+        assert status == 400
+        assert "invalid JSON" in json.loads(payload)["error"]
+
+    def test_unframeable_request_400_and_close(self, cluster, client,
+                                               raw_http, unframeable):
+        status, headers, _ = raw_http(cluster.port, unframeable)
+        assert status == 400
+        assert headers["connection"] == "close"
+        # The router stays up for well-formed traffic.
+        assert client.healthz()["status"] == "ok"

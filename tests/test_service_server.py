@@ -8,6 +8,7 @@ tiny: these are protocol and coalescing tests, not performance runs.
 """
 
 import asyncio
+import json
 import time
 
 import pytest
@@ -269,6 +270,50 @@ class TestErrors:
             assert b"400" in raw.split(b"\r\n", 1)[0]
 
         run_with_server(body)
+
+
+class TestFraming:
+    def test_unframeable_request_400_and_close(self, unframeable, raw_http):
+        async def body(service, client):
+            status, headers, payload = await asyncio.get_running_loop(
+            ).run_in_executor(None, raw_http, service.port, unframeable)
+            assert status == 400
+            assert headers["connection"] == "close"
+            assert json.loads(payload)["type"] == "error"
+            # The server stays up for well-formed traffic.
+            assert (await client.healthz())["status"] == "ok"
+
+        run_with_server(body)
+
+
+class TestOutboundRequest:
+    """The one outbound client fails as ``ConnectionError`` whatever
+    a broken peer sends back."""
+
+    @pytest.mark.parametrize("answer", [
+        b"",
+        b"garbage\r\n\r\n",
+        b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\r\n{\"tr",
+    ], ids=["closes-silently", "garbled-status", "truncated-json"])
+    def test_bad_response_raises_connection_error(self, answer):
+        async def handle(reader, writer):
+            await reader.readuntil(b"\r\n\r\n")
+            writer.write(answer)
+            await writer.drain()
+            writer.close()
+
+        async def main():
+            peer = await asyncio.start_server(handle, "127.0.0.1", 0)
+            client = AsyncServiceClient("127.0.0.1",
+                                        peer.sockets[0].getsockname()[1])
+            try:
+                with pytest.raises(ConnectionError):
+                    await client.request("GET", "/healthz")
+            finally:
+                peer.close()
+                await peer.wait_closed()
+
+        asyncio.run(main())
 
 
 class TestSingleFlight:
